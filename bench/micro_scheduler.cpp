@@ -309,9 +309,9 @@ runConfig(int workers, std::size_t tasks)
         // Nested submission, continuation chains: every task spawns
         // its successor from the worker thread — the engine's
         // completion-callback pattern. Worker-side submits hit the
-        // submitter's next-task slot or deque and recycle its node
-        // freelist; the legacy pool below serializes the same pattern
-        // through one global mutex.
+        // submitter's own deque and recycle its node freelist; the
+        // legacy pool below serializes the same pattern through one
+        // global mutex.
         th::ThreadPool pool(workers);
         std::atomic<std::int64_t> remaining{
             static_cast<std::int64_t>(tasks)}; // Signed: the racing
@@ -458,8 +458,9 @@ runConfig(int workers, std::size_t tasks)
                 task.onComplete = [this, rec] {
                     // Commit: the lane serializes these, so the
                     // arena needs no lock — and the next window is
-                    // submitted from a worker thread, taking the
-                    // pool's continuation fast path.
+                    // submitted from a worker thread, landing in
+                    // that worker's own deque (no injector, no
+                    // wake unless a sibling is parked).
                     sink->fetch_add(rec->digest & 1,
                                     std::memory_order_relaxed);
                     arena->destroy(rec);
@@ -473,13 +474,23 @@ runConfig(int workers, std::size_t tasks)
             runEpoch(std::size_t n, int workers)
             {
                 toSubmit = static_cast<std::int64_t>(n);
-                // Seed one pipeline per worker slot; every later
-                // window is spawned by a commit callback, so all
-                // arena mutation after this loop is lane-serialized.
+                // Seed two pipelines per worker through one bootstrap
+                // task, as SpecEngine::start() does: its commit
+                // callback creates the first windows, so every arena
+                // mutation — seeding included — runs in the lane.
+                // Creating them here instead would race the commit
+                // callbacks of the windows already running.
                 const std::int64_t depth =
                     std::min<std::int64_t>(2 * workers, toSubmit);
-                for (std::int64_t i = 0; i < depth; ++i)
-                    executor->submit(makeWindow());
+                stats::exec::Task bootstrap;
+                bootstrap.run = [] {
+                    return stats::exec::Work{0.0, 0.0};
+                };
+                bootstrap.onComplete = [this, depth] {
+                    for (std::int64_t i = 0; i < depth; ++i)
+                        executor->submit(makeWindow());
+                };
+                executor->submit(std::move(bootstrap));
                 executor->drain();
                 arena->drainEpoch();
             }

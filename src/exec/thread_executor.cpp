@@ -5,6 +5,7 @@
 
 #include "observability/trace.hpp"
 #include "replay/session.hpp"
+#include "support/log.hpp"
 
 namespace stats::exec {
 
@@ -38,11 +39,21 @@ ThreadExecutor::RecordPool::~RecordPool()
 }
 
 ThreadExecutor::ThreadExecutor(int threads)
-    : _records(kRecordCacheCapacity), _pool(threads)
+    : _records(kRecordCacheCapacity),
+      _ownedPool(std::make_unique<threading::ThreadPool>(threads)),
+      _pool(*_ownedPool)
 {
 }
 
-ThreadExecutor::~ThreadExecutor() = default;
+ThreadExecutor::ThreadExecutor(threading::ThreadPool &pool)
+    : _records(kRecordCacheCapacity), _pool(pool)
+{
+}
+
+ThreadExecutor::~ThreadExecutor()
+{
+    drain();
+}
 
 ThreadExecutor::TaskRecord *
 ThreadExecutor::acquireRecord()
@@ -86,6 +97,7 @@ ThreadExecutor::wrap(Task task)
     pooled.cancel = rec->task.cancel;
     pooled.run = [this, rec](bool cancelled) {
         runRecord(rec, cancelled);
+        finish(); // Last touch of `this`: drain() may return now.
     };
     return pooled;
 }
@@ -163,10 +175,10 @@ ThreadExecutor::runRecord(TaskRecord *rec, bool cancelled)
  * the single total order either the drainer's re-check sees the late
  * push, or the pusher's election sees the drainer gone and wins).
  *
- * drain()/waitIdle still implies lane-empty: a drainer runs inside
- * some task's pool closure, whose pending count is not retired until
- * the closure returns — so the pool cannot report idle while any
- * callback is queued or running (docs/INTERNALS.md §4).
+ * drain() still implies lane-empty: a drainer runs inside one of
+ * this executor's task closures, whose pending count is not retired
+ * until the closure's callbacks are done — so drain() cannot return
+ * while any callback is queued or running (docs/INTERNALS.md §4).
  */
 void
 ThreadExecutor::commitEnqueue(TaskRecord *rec)
@@ -235,15 +247,38 @@ ThreadExecutor::drainLane()
     }
 }
 
+/**
+ * Retire one task. Only the decrement that can reach zero takes the
+ * idle mutex, and it decrements under it: drain() reads the count
+ * under the same mutex, so it cannot see zero — and let the caller
+ * destroy this executor — before the notifying thread let go of it.
+ * Every other decrement is a single CAS that touches nothing after.
+ */
+void
+ThreadExecutor::finish()
+{
+    std::size_t pending = _pending.load(std::memory_order_relaxed);
+    while (pending > 1)
+        if (_pending.compare_exchange_weak(pending, pending - 1,
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_relaxed))
+            return;
+    std::lock_guard<std::mutex> lock(_idleMutex);
+    if (_pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        _idleCv.notify_all();
+}
+
 void
 ThreadExecutor::submit(Task task)
 {
+    _pending.fetch_add(1, std::memory_order_relaxed);
     _pool.submit(wrap(std::move(task)));
 }
 
 void
 ThreadExecutor::submitBatch(std::vector<Task> tasks)
 {
+    _pending.fetch_add(tasks.size(), std::memory_order_relaxed);
     std::vector<threading::PoolTask> pooled;
     pooled.reserve(tasks.size());
     for (auto &task : tasks)
@@ -254,7 +289,15 @@ ThreadExecutor::submitBatch(std::vector<Task> tasks)
 void
 ThreadExecutor::drain()
 {
-    _pool.waitIdle();
+    if (_pool.onWorkerThread())
+        support::panic("ThreadExecutor::drain (StateDependence::join) "
+                       "called from a worker of the pool it waits on: "
+                       "the wait could deadlock; join from a thread "
+                       "outside the pool");
+    std::unique_lock<std::mutex> lock(_idleMutex);
+    _idleCv.wait(lock, [this] {
+        return _pending.load(std::memory_order_acquire) == 0;
+    });
 }
 
 double

@@ -6,12 +6,15 @@
  * profiling when real cores are available). Task `width` is advisory
  * here: a real task's inner parallelism lives inside its own code.
  *
- * Dispatch rides the work-stealing thread pool directly: pending
- * accounting, drain(), and the wall clock are the pool's own (a single
- * atomic counter and one steady timer), so this layer adds no locks to
- * the submit or completion fast paths. Two pieces make the whole
- * submit → run → commit round trip allocation- and lock-free in
- * steady state:
+ * Dispatch rides the work-stealing thread pool directly. The pool is
+ * either the executor's own (`ThreadExecutor(threads)`) or one it
+ * shares with other executors (`ThreadExecutor(pool)`, e.g.
+ * `ThreadPool::shared(n)`, which every StateDependence uses). Either
+ * way the executor keeps its own pending count, so drain() waits for
+ * this executor's tasks only: executors sharing a pool never wait
+ * on each other. The wall clock is the pool's. Two pieces make the
+ * whole submit → run → commit round trip allocation- and lock-free
+ * in steady state:
  *
  *  - every submitted Task moves into a recycled `TaskRecord` (a
  *    bounded lock-free freelist), so the pool closure captures only
@@ -35,7 +38,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 
 #include "exec/task.hpp"
 #include "threading/primitives.hpp"
@@ -56,7 +62,13 @@ class ThreadExecutor : public Executor
         std::uint64_t recordReuses = 0; ///< Records recycled (freelist).
     };
 
+    /** Run on a private pool of `threads` workers. */
     explicit ThreadExecutor(int threads);
+
+    /** Run on `pool`, which must outlive the executor. */
+    explicit ThreadExecutor(threading::ThreadPool &pool);
+
+    /** Calls drain(). */
     ~ThreadExecutor() override;
 
     void submit(Task task) override;
@@ -64,13 +76,20 @@ class ThreadExecutor : public Executor
     /** Enqueue a group of tasks with one pool operation. */
     void submitBatch(std::vector<Task> tasks) override;
 
-    /** Blocks until every submitted task (and its spawns) completed. */
+    /**
+     * Blocks until every task submitted to this executor (and its
+     * spawns) completed. Panics when called from a worker of the
+     * executor's pool: the caller would hold a worker the tasks it
+     * waits for may need (and its own task's completion), so the wait
+     * could deadlock.
+     */
     void drain() override;
 
     double now() const override;
     int concurrency() const override;
 
-    /** The pool's scheduler counters (steals, parks, ...). */
+    /** The pool's scheduler counters (steals, parks, ...); on a
+     *  shared pool they include every executor's tasks. */
     threading::ThreadPool::Stats schedulerStats() const
     {
         return _pool.stats();
@@ -81,11 +100,7 @@ class ThreadExecutor : public Executor
   private:
     struct TaskRecord;
 
-    /**
-     * Record storage. Declared *before* the pool so it outlives it:
-     * the pool's drain-on-shutdown may still release records into
-     * the freelist while this executor is being destroyed.
-     */
+    /** Record storage (a freelist private to this executor). */
     struct RecordPool
     {
         explicit RecordPool(std::size_t capacity);
@@ -95,6 +110,7 @@ class ThreadExecutor : public Executor
 
     threading::PoolTask wrap(Task task);
     void runRecord(TaskRecord *rec, bool cancelled);
+    void finish();
     TaskRecord *acquireRecord();
     void releaseRecord(TaskRecord *rec);
     void commitEnqueue(TaskRecord *rec);
@@ -111,7 +127,13 @@ class ThreadExecutor : public Executor
     std::atomic<std::uint64_t> _recordAllocs{0};
     std::atomic<std::uint64_t> _recordReuses{0};
 
-    threading::ThreadPool _pool; ///< Last member: destroyed first.
+    /** Tasks submitted and not yet finished (see finish()). */
+    std::atomic<std::size_t> _pending{0};
+    std::mutex _idleMutex;
+    std::condition_variable _idleCv;
+
+    std::unique_ptr<threading::ThreadPool> _ownedPool;
+    threading::ThreadPool &_pool;
 };
 
 } // namespace stats::exec

@@ -34,8 +34,17 @@ TaskArena::~TaskArena()
     }
 }
 
+void
+TaskArena::panicConcurrentMutation()
+{
+    support::panic("TaskArena: concurrent mutation — create/destroy/"
+                   "allocate/drainEpoch overlapped on two threads; "
+                   "arena mutation must be externally serialized "
+                   "(threading/arena.hpp)");
+}
+
 void *
-TaskArena::allocate(std::size_t bytes, std::size_t align)
+TaskArena::allocateUnchecked(std::size_t bytes, std::size_t align)
 {
     if (bytes == 0)
         bytes = 1;
@@ -96,6 +105,7 @@ TaskArena::refill(std::size_t index, std::size_t minBytes)
 void
 TaskArena::drainEpoch()
 {
+    MutationScope scope(*this);
     if (_stats.live != 0) {
         support::panic("TaskArena::drainEpoch with ", _stats.live,
                        " live records");

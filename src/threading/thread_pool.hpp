@@ -10,15 +10,17 @@
  * competing with the parallelism the speculation engine exists to
  * create (docs/INTERNALS.md "The work-stealing scheduler"):
  *
- *  - each worker owns a Chase–Lev deque (owner push/pop at the
- *    bottom, lock-free steal at the top); jobs submitted from a
- *    worker thread go to its own deque, external submissions go to a
- *    bounded lock-free injector queue (with a mutex-protected
- *    overflow list so submission never blocks or fails);
- *  - a worker that submits while its "next task" slot is empty
- *    bypasses the deque entirely: the task runs immediately after
- *    the current one, so continuation chains (the engine's
- *    commit-cascade pattern) pay no queue, fence, or wake cost;
+ *  - each worker owns a Chase–Lev deque (owner push at the bottom,
+ *    lock-free take at the top); jobs submitted from a worker thread
+ *    go to its own deque, external submissions go to a bounded
+ *    lock-free injector queue (with a mutex-protected overflow list
+ *    so submission never blocks or fails); a worker-side task's node
+ *    returns to the cache of the worker that allocated it, wherever
+ *    it ran, so stealing costs no heap traffic;
+ *  - a worker runs its own tasks *oldest first*: it takes from the
+ *    top of its deque, the same end thieves use, so tasks a worker
+ *    submits in order (the engine's group bodies, the commit
+ *    frontier first) run in that order wherever they land;
  *  - idle workers *steal half*: one CAS per item, but a successful
  *    round takes up to half the victim's visible backlog, runs the
  *    oldest task and keeps the rest in the thief's own deque — one
@@ -107,6 +109,19 @@ class ThreadPool
     /** Spawn `threads` workers (at least 1). */
     explicit ThreadPool(int threads);
 
+    /**
+     * The process-lifetime pool of `threads` workers (at least 1)
+     * that every StateDependence with that many threads runs on —
+     * the paper's pool "shared with all state dependences". Created
+     * on first use and never destroyed: its parked workers outlive
+     * main() instead of being joined during static destruction.
+     * Thread-safe.
+     */
+    static ThreadPool &shared(int threads);
+
+    /** Shared pools created so far (one per distinct thread count). */
+    static std::size_t sharedPoolsCreated();
+
     /** Joins all workers; pending jobs are completed first (drains). */
     ~ThreadPool();
 
@@ -154,6 +169,9 @@ class ThreadPool
 
     int threadCount() const { return static_cast<int>(_workers.size()); }
 
+    /** True on one of this pool's own worker threads. */
+    bool onWorkerThread() const;
+
     /** Pool-lifetime wall clock, seconds (steady, starts at 0). */
     double clockSeconds() const { return _clock.elapsedSeconds(); }
 
@@ -165,12 +183,14 @@ class ThreadPool
 
     [[noreturn]] static void panicEmptyJob();
 
+    Worker *currentWorker() const;
     void workerLoop(int index);
     bool runOneTask(Worker &self);
-    TaskNode *tryStealFrom(Worker &self, bool desperate);
+    TaskNode *tryStealFrom(Worker &self);
     bool popShared(PoolTask &out);
     void pushShared(PoolTask task);
-    void enqueue(PoolTask task);
+    void pushLocal(Worker &self, PoolTask task);
+    void recycle(TaskNode *node, Worker &self);
     bool anyWorkVisible() const;
     void wakeWorkers(std::size_t want);
     void wakeForLocalSubmit();

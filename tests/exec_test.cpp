@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +147,37 @@ INSTANTIATE_TEST_SUITE_P(RealAndSimulated, ExecutorContract,
                          [](const auto &info) {
                              return info.param ? "Simulated" : "Real";
                          });
+
+TEST(ThreadExecutor, ExecutorsSharingAPoolDrainOnlyTheirOwnTasks)
+{
+    threading::ThreadPool pool(2);
+    exec::ThreadExecutor slow(pool);
+    exec::ThreadExecutor fast(pool);
+    std::atomic<bool> release{false};
+    exec::Task blocker;
+    blocker.run = [&release] {
+        while (!release.load())
+            std::this_thread::yield();
+        return exec::Work{0.0, 0.0};
+    };
+    slow.submit(std::move(blocker));
+
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 16; ++i) {
+        exec::Task task;
+        task.run = [&ran] {
+            ran.fetch_add(1);
+            return exec::Work{0.0, 0.0};
+        };
+        fast.submit(std::move(task));
+    }
+    // Returns while `slow`'s task still occupies a worker.
+    fast.drain();
+    EXPECT_EQ(ran.load(), 16);
+    EXPECT_FALSE(release.load());
+    release.store(true);
+    slow.drain();
+}
 
 TEST(SimExecutor, VirtualTimeAdvances)
 {

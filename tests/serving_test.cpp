@@ -617,6 +617,45 @@ TEST(ServerTest, ServedRunsAreByteIdenticalAcrossSubmissions)
     EXPECT_FALSE(server.replayLog(first.requestId).empty());
 }
 
+TEST(ServerTest, CrossTenantCacheHitMatchesThatTenantsRecompute)
+{
+    // Tenant alpha computes; tenant beta's identical submission is a
+    // cache hit. Its replay-fetch bytes must equal a recompute that
+    // beta itself submitted — in particular, name beta, not alpha.
+    Server server;
+    ExecutionPlan plan = specPlan(55);
+    const auto first = server.submitPlan(plan);
+    ASSERT_TRUE(first.admitted()) << first.verdict.detail;
+    ASSERT_TRUE(serving_testing::pollUntil([&] {
+        return server.status(first.requestId).state ==
+               RequestState::Done;
+    }));
+
+    plan.tenant = "beta";
+    const auto hit = server.submitPlan(plan);
+    ASSERT_TRUE(hit.admitted()) << hit.verdict.detail;
+    EXPECT_EQ(server.resultCacheHits(), 1u);
+
+    ExecutionPlan uncached = plan;
+    uncached.noCache = true;
+    const auto recompute = server.submitPlan(uncached);
+    ASSERT_TRUE(recompute.admitted()) << recompute.verdict.detail;
+    server.drain();
+    EXPECT_EQ(server.resultCacheHits(), 1u);
+
+    const std::string served = server.replayLog(hit.requestId);
+    ASSERT_FALSE(served.empty());
+    EXPECT_EQ(served, server.replayLog(recompute.requestId));
+    EXPECT_NE(served, server.replayLog(first.requestId));
+    std::istringstream stream(served);
+    std::string error;
+    const auto log = replay::RecordLog::load(stream, error);
+    ASSERT_TRUE(log.has_value()) << error;
+    EXPECT_EQ(log->meta("tenant"), "beta");
+    EXPECT_EQ(server.status(hit.requestId).result.resultBlob,
+              server.status(recompute.requestId).result.resultBlob);
+}
+
 TEST(ServerTest, SubmitClassifiesVersionSkewSeparately)
 {
     Server server;

@@ -8,10 +8,12 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "sdi/state_dependence.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace {
 
@@ -161,6 +163,83 @@ TEST(StateDependenceFacade, JoinBeforeStartPanics)
     sdi::StateDependence<Input, CounterState, Output> dep(
         &inputs, &state, computeOutput);
     EXPECT_DEATH(dep.join(), "join before start");
+}
+
+/**
+ * One speculative run of `n` inputs on `threads` shared-pool threads;
+ * true when every output equals the sequential one (input i sees the
+ * state left by input i - 1).
+ */
+bool
+runMatchesSequential(int n, int threads)
+{
+    auto storage = makeInputs(n);
+    std::vector<Input *> inputs;
+    for (auto &input : storage)
+        inputs.push_back(&input);
+    CounterState initial;
+    sdi::StateDependence<Input, CounterState, Output> dep(
+        &inputs, &initial, computeOutput);
+    dep.setAuxiliaryCode(computeOutput);
+    dep.useStateMatchMethod();
+    sdi::SpecConfig config;
+    config.groupSize = 4;
+    config.auxWindow = 1;
+    dep.setConfig(config);
+    dep.setThreads(threads);
+    dep.start();
+    dep.join();
+    bool ok = dep.outputs().size() == static_cast<std::size_t>(n) &&
+              dep.outputs()[0]->value == -1;
+    for (int i = 1; ok && i < n; ++i)
+        ok = dep.outputs()[static_cast<std::size_t>(i)]->value == i - 1;
+    return ok;
+}
+
+TEST(StateDependenceFacade, BackToBackRunsCreateThePoolOnce)
+{
+    // Paper section 3.4: one pool shared with all state dependences.
+    // The first run at a thread count may create its pool; the next
+    // 49 must reuse it.
+    const std::size_t before = threading::ThreadPool::sharedPoolsCreated();
+    ASSERT_TRUE(runMatchesSequential(40, 3));
+    const std::size_t created = threading::ThreadPool::sharedPoolsCreated();
+    EXPECT_LE(created - before, 1u);
+    for (int run = 1; run < 50; ++run)
+        ASSERT_TRUE(runMatchesSequential(40, 3)) << "run " << run;
+    EXPECT_EQ(threading::ThreadPool::sharedPoolsCreated(), created);
+}
+
+TEST(StateDependenceFacade, ConcurrentJoinsOnOnePoolAreExact)
+{
+    // Two callers run dependences on the same shared pool at once;
+    // each join waits for its own run only, and both are exact.
+    for (int round = 0; round < 20; ++round) {
+        bool a = false;
+        bool b = false;
+        std::thread first([&a] { a = runMatchesSequential(200, 2); });
+        std::thread second([&b] { b = runMatchesSequential(120, 2); });
+        first.join();
+        second.join();
+        ASSERT_TRUE(a) << "round " << round;
+        ASSERT_TRUE(b) << "round " << round;
+    }
+}
+
+TEST(StateDependenceFacadeDeathTest, JoinFromAWorkerOfItsPoolPanics)
+{
+    // A join on one of the pool's own workers would hold a worker the
+    // run may need; it must fail loudly instead of deadlocking. (On
+    // a two-worker pool the other worker could finish the run, so
+    // without the check this statement would not die.)
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            threading::ThreadPool &pool = threading::ThreadPool::shared(2);
+            pool.submit([] { runMatchesSequential(16, 2); });
+            pool.waitIdle();
+        },
+        "called from a worker of the pool it waits on");
 }
 
 } // namespace

@@ -54,11 +54,10 @@ TEST(ThreadPool, JobsMaySubmitJobs)
 TEST(ThreadPool, BlockingJobCannotStrandItsOwnSubmission)
 {
     // A job that submits work and then *blocks until that work runs*
-    // must make progress on any pool with a second worker. The
-    // worker-side fast path parks the first nested submission in the
-    // owner's next-task slot, which siblings normally never look at;
-    // this pins the desperate slot-steal that keeps the pattern live
-    // (the owner cannot run the slot — it is busy blocking on it).
+    // must make progress on any pool with a second worker: the owner
+    // cannot run its own submissions (it is busy blocking on them),
+    // so a sibling must find them in the owner's deque — woken by
+    // the submit, or by its park backstop should the wake be missed.
     ThreadPool pool(2);
     std::atomic<int> ran{0};
     for (int round = 0; round < 50; ++round) {
