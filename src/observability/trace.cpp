@@ -162,19 +162,45 @@ Trace::disable()
     _enabled.store(false, std::memory_order_relaxed);
 }
 
-namespace {
-
-/** Per-thread sink cache, invalidated when the epoch moves. */
-struct ThreadSlot
+/**
+ * Per-thread sink cache, invalidated when the epoch moves. Only the
+ * owner thread writes its sink, so once clear() retired it the owner
+ * is the one to free it: on its next record, or here when the thread
+ * exits.
+ */
+struct TraceThreadSlot
 {
-    void *sink = nullptr;
+    Trace::Sink *sink = nullptr;
     std::uint64_t epoch = ~0ull;
     std::int32_t track = -1;
+
+    ~TraceThreadSlot()
+    {
+        if (sink != nullptr) {
+            Trace &trace = Trace::global();
+            std::lock_guard<std::mutex> lock(trace._registryMutex);
+            trace.releaseSinkLocked(sink);
+        }
+    }
 };
 
-thread_local ThreadSlot t_slot;
+namespace {
+
+thread_local TraceThreadSlot t_slot;
 
 } // namespace
+
+void
+Trace::releaseSinkLocked(Sink *sink)
+{
+    const auto retired = std::find_if(
+        _retired.begin(), _retired.end(),
+        [sink](const auto &entry) { return entry.get() == sink; });
+    if (retired != _retired.end())
+        _retired.erase(retired);
+    else
+        sink->orphaned = true; // Still current: clear() frees it.
+}
 
 Trace::Sink &
 Trace::sinkForThisThread()
@@ -182,6 +208,8 @@ Trace::sinkForThisThread()
     if (t_slot.sink == nullptr ||
         t_slot.epoch != _epoch.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> lock(_registryMutex);
+        if (t_slot.sink != nullptr)
+            releaseSinkLocked(t_slot.sink);
         auto sink = std::make_unique<Sink>();
         sink->ring.resize(_capacity);
         t_slot.sink = sink.get();
@@ -191,7 +219,7 @@ Trace::sinkForThisThread()
                 _nextTrack.fetch_add(1, std::memory_order_relaxed);
         _sinks.push_back(std::move(sink));
     }
-    return *static_cast<Sink *>(t_slot.sink);
+    return *t_slot.sink;
 }
 
 std::int32_t
@@ -283,7 +311,10 @@ void
 Trace::clear()
 {
     std::lock_guard<std::mutex> lock(_registryMutex);
-    _sinks.clear();
+    for (auto &sink : _sinks)
+        if (!sink->orphaned)
+            _retired.push_back(std::move(sink));
+    _sinks.clear(); // Frees the sinks of exited threads.
     // Invalidates every thread's cached sink.
     _epoch.fetch_add(1, std::memory_order_relaxed);
     _nextSeq.store(1, std::memory_order_relaxed);

@@ -232,7 +232,13 @@ class Trace
     /** All recorded events, merged and sorted by seq. Quiescent-time. */
     std::vector<Event> collect() const;
 
-    /** Drop all recorded events (and the drop counter). Quiescent. */
+    /**
+     * Drop all recorded events (and the drop counter). Safe while
+     * other threads still record (an idle pool worker traces its
+     * park after the work it was waited on has finished): their
+     * sinks are retired, not freed, and each owner thread frees its
+     * retired sink on its next record or when it exits.
+     */
     void clear();
 
     /** Events lost to ring-buffer wrap since enable()/clear(). */
@@ -248,14 +254,22 @@ class Trace
         std::vector<Event> ring; ///< Fixed capacity, overwritten FIFO.
         std::size_t head = 0;    ///< Next write position.
         std::uint64_t written = 0;
+        /** Owner thread exited; guarded by `_registryMutex`. */
+        bool orphaned = false;
     };
+
+    friend struct TraceThreadSlot;
 
     Trace();
     Sink &sinkForThisThread();
     void push(Sink &sink, const Event &event);
+    /** `sink`'s owner is done with it. Needs `_registryMutex`. */
+    void releaseSinkLocked(Sink *sink);
 
     mutable std::mutex _registryMutex;
     std::vector<std::unique_ptr<Sink>> _sinks;
+    /** Cleared sinks whose owner thread may still write to them. */
+    std::vector<std::unique_ptr<Sink>> _retired;
     std::atomic<bool> _enabled{false};
     std::atomic<std::uint64_t> _nextSeq{1};
     std::atomic<std::int32_t> _nextTrack{0};

@@ -214,6 +214,53 @@ RecordLog::saveToString() const
     return out;
 }
 
+bool
+RecordLog::replaceMetaInBytes(std::string &bytes, const std::string &key,
+                              const std::string &value,
+                              std::string &error)
+{
+    if (bytes.size() < sizeof(kMagic) ||
+        bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
+        error = "not a STATS record log (bad magic)";
+        return false;
+    }
+    std::size_t pos = sizeof(kMagic);
+    std::uint64_t version = 0, root_seed = 0, meta_count = 0;
+    if (!getVarint(bytes, pos, version) ||
+        !getVarint(bytes, pos, root_seed) ||
+        !getVarint(bytes, pos, meta_count)) {
+        error = "truncated header";
+        return false;
+    }
+    if (version != kLogSchemaVersion) {
+        error = "unsupported log schema version " +
+                std::to_string(version);
+        return false;
+    }
+    for (std::uint64_t i = 0; i < meta_count; ++i) {
+        std::string entry_key, entry_value;
+        if (!getString(bytes, pos, entry_key)) {
+            error = "truncated metadata";
+            return false;
+        }
+        const std::size_t value_pos = pos;
+        if (!getString(bytes, pos, entry_value)) {
+            error = "truncated metadata";
+            return false;
+        }
+        if (entry_key != key)
+            continue;
+        if (entry_value != value) {
+            std::string encoded;
+            putString(encoded, value);
+            bytes.replace(value_pos, pos - value_pos, encoded);
+        }
+        return true;
+    }
+    error = "no metadata entry '" + key + "'";
+    return false;
+}
+
 void
 RecordLog::save(std::ostream &out) const
 {

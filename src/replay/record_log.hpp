@@ -140,6 +140,20 @@ struct RecordLog
     void saveFile(const std::string &path) const;
 
     /**
+     * Replace the value of an existing metadata entry of a serialized
+     * log, in place: only the header is parsed, and every byte
+     * outside that value stays as it is. The result equals load() +
+     * setMeta() + saveToString() at the cost of one copy of the log's
+     * tail (none when the value is already set). Returns false and
+     * sets `error` on a bad magic, unsupported schema version,
+     * truncated header or absent key.
+     */
+    static bool replaceMetaInBytes(std::string &bytes,
+                                   const std::string &key,
+                                   const std::string &value,
+                                   std::string &error);
+
+    /**
      * Parse a serialized log. Returns nullopt and sets `error` on a
      * bad magic, unsupported schema version, or truncated/corrupt
      * payload.

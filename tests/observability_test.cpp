@@ -14,10 +14,12 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -206,6 +208,7 @@ TEST_F(ObsTest, RingBufferKeepsNewestEventsAndCountsDrops)
 TEST_F(ObsTest, SpanPairsGetAdjacentSequenceNumbers)
 {
     auto &trace = obs::Trace::global();
+    trace.enable(/* per_thread_capacity */ 16); // Cheap re-registers.
     obs::TaskTag tag;
     tag.kind = obs::TaskKind::Body;
     tag.group = 3;
@@ -236,6 +239,40 @@ TEST_F(ObsTest, ClearResetsEventsAndDropCounter)
     trace.record(EventType::Commit, 1, 1, 2, 0.0, obs::kFrontierTrack,
                  0);
     EXPECT_EQ(trace.collect().size(), 1u);
+}
+
+TEST_F(ObsTest, ClearIsSafeWhileAnotherThreadRecords)
+{
+    // An idle pool worker traces its park after the work its caller
+    // waited on has finished, so clear() can race a record() that is
+    // already past the enabled check. That recorder's sink must stay
+    // allocated: writing a freed one corrupts the heap, and this loop
+    // then crashes or hangs.
+    auto &trace = obs::Trace::global();
+    trace.enable(/* per_thread_capacity */ 16); // Cheap re-registers.
+    obs::TaskTag tag;
+    tag.kind = obs::TaskKind::Body;
+    std::atomic<bool> stop{false};
+    std::thread recorder([&] {
+        // A span is two pushes into one sink: the widest window.
+        while (!stop.load(std::memory_order_relaxed))
+            trace.recordSpan(tag, 0.0, 1.0, /* track */ 0);
+    });
+    for (int i = 0; i < 20000; ++i)
+        trace.clear();
+    stop.store(true, std::memory_order_relaxed);
+    recorder.join();
+
+    // An exited thread's events stay collectable until the next
+    // clear(), which then frees its sink.
+    trace.clear();
+    std::thread([&] {
+        trace.record(EventType::Commit, 0, 0, 1, 0.0,
+                     obs::kFrontierTrack, 0);
+    }).join();
+    EXPECT_EQ(trace.collect().size(), 1u);
+    trace.clear();
+    EXPECT_TRUE(trace.collect().empty());
 }
 
 // ------------------------------------------------- ordering guarantees

@@ -170,6 +170,41 @@ TEST(RecordLog, RejectsCorruptInputs)
     EXPECT_TRUE(ok.has_value());
 }
 
+TEST(RecordLog, ReplaceMetaInBytesMatchesADecodedEdit)
+{
+    const std::string good = sampleLog().saveToString();
+    const std::pair<std::string, std::string> edits[] = {
+        {"mode", "par"},                 // Same value: untouched.
+        {"mode", "seq"},                 // Same length.
+        {"benchmark", ""},               // Shorter.
+        {"mode", std::string(200, 'x')}, // Longer length varint.
+    };
+    std::string error;
+    for (const auto &[key, value] : edits) {
+        replay::RecordLog decoded = sampleLog();
+        decoded.setMeta(key, value);
+        std::string bytes = good;
+        ASSERT_TRUE(replay::RecordLog::replaceMetaInBytes(bytes, key,
+                                                          value, error))
+            << error;
+        EXPECT_EQ(bytes, decoded.saveToString()) << key;
+    }
+
+    std::string bytes = good;
+    EXPECT_FALSE(
+        replay::RecordLog::replaceMetaInBytes(bytes, "tenant", "b", error));
+    EXPECT_NE(error.find("no metadata entry"), std::string::npos);
+    EXPECT_EQ(bytes, good);
+    std::string garbage = "not a log at all";
+    EXPECT_FALSE(
+        replay::RecordLog::replaceMetaInBytes(garbage, "k", "v", error));
+    EXPECT_NE(error.find("magic"), std::string::npos);
+    std::string truncated = good.substr(0, 8);
+    EXPECT_FALSE(replay::RecordLog::replaceMetaInBytes(truncated, "k",
+                                                       "v", error));
+    EXPECT_NE(error.find("truncated"), std::string::npos);
+}
+
 TEST(RecordLog, EveryRecordKindHasAName)
 {
     for (int k = 0; k < replay::kRecordKindCount; ++k) {
