@@ -15,6 +15,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <vector>
 
@@ -873,6 +874,34 @@ readRepoFile(const std::string &relative)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
+}
+
+/**
+ * Byte-exact golden of a faulted, seeded toy run with metadata
+ * (tests/golden/replay_log.strl): every record kind appears, so the
+ * file pins the whole log format against codec changes. Regenerate
+ * only together with a kLogSchemaVersion bump.
+ */
+TEST_F(ReplaySessionTest, FaultedRecordingMatchesTheGoldenLog)
+{
+    auto &session = replay::ReplaySession::global();
+    std::string error;
+    const auto plan = replay::FaultPlan::parse(
+        "mismatch@g2; corrupt@g4; seed=5", error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    session.setFaultPlan(*plan);
+    session.startRecording(77);
+    session.setMetadata("benchmark", "toy");
+    session.setMetadata("mode", "par");
+    (void)runToyEngine(makeInputs(32));
+    const replay::RecordLog log = session.finishRecording();
+
+    std::set<replay::RecordKind> kinds;
+    for (const auto &record : log.records)
+        kinds.insert(record.kind);
+    EXPECT_EQ(kinds.size(), std::size_t(replay::kRecordKindCount));
+    EXPECT_EQ(log.saveToString(),
+              readRepoFile("tests/golden/replay_log.strl"));
 }
 
 TEST(ReplayDocs, DocumentationCoversTheSchema)

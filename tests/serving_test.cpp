@@ -760,20 +760,21 @@ TEST(ServerTest, FinishedRequestRegistryIsBounded)
 
 // ========================================================== Protocol
 
-TEST(ProtocolTest, BodyCodecsRoundTrip)
+/** The fixed rejection behind the body round trip and golden. */
+AdmissionVerdict
+goldenVerdict()
 {
     AdmissionVerdict verdict;
     verdict.reason = RejectReason::QuotaExceeded;
     verdict.detail = "tenant 'x' is over its admission rate";
     verdict.retryAfterSeconds = 1.25;
-    AdmissionVerdict decoded;
-    ASSERT_TRUE(serving::decodeSubmitRejected(
-        serving::encodeSubmitRejected(verdict), decoded));
-    EXPECT_EQ(decoded.reason, verdict.reason);
-    EXPECT_EQ(decoded.detail, verdict.detail);
-    EXPECT_NEAR(decoded.retryAfterSeconds, verdict.retryAfterSeconds,
-                1e-3);
+    return verdict;
+}
 
+/** The fixed request status behind the body round trip and golden. */
+serving::RequestStatus
+goldenStatus()
+{
     serving::RequestStatus status;
     status.state = RequestState::Done;
     status.tenant = "alpha";
@@ -782,6 +783,21 @@ TEST(ProtocolTest, BodyCodecsRoundTrip)
     status.result.finalState = -77;
     status.result.invocations = 1234;
     status.result.batchedLanes = 3;
+    return status;
+}
+
+TEST(ProtocolTest, BodyCodecsRoundTrip)
+{
+    const AdmissionVerdict verdict = goldenVerdict();
+    AdmissionVerdict decoded;
+    ASSERT_TRUE(serving::decodeSubmitRejected(
+        serving::encodeSubmitRejected(verdict), decoded));
+    EXPECT_EQ(decoded.reason, verdict.reason);
+    EXPECT_EQ(decoded.detail, verdict.detail);
+    EXPECT_NEAR(decoded.retryAfterSeconds, verdict.retryAfterSeconds,
+                1e-3);
+
+    const serving::RequestStatus status = goldenStatus();
     serving::RequestStatus out;
     ASSERT_TRUE(
         serving::decodeResult(serving::encodeResult(status), out));
@@ -798,6 +814,39 @@ TEST(ProtocolTest, BodyCodecsRoundTrip)
 
     EXPECT_FALSE(serving::decodeResult("trunc", out));
     EXPECT_FALSE(serving::decodeRequestId("", id));
+}
+
+/**
+ * Byte-exact goldens of every body codec plus a served result blob
+ * (tests/golden/protocol_bodies.hex, one `name hex` line each). They
+ * pin the wire format against codec changes; regenerate only with a
+ * kProtocolVersion bump.
+ */
+TEST(ProtocolTest, BodyEncodingsMatchTheGolden)
+{
+    const auto hex = [](const std::string &bytes) {
+        static const char kDigits[] = "0123456789abcdef";
+        std::string out;
+        for (const unsigned char byte : bytes) {
+            out.push_back(kDigits[byte >> 4]);
+            out.push_back(kDigits[byte & 0xf]);
+        }
+        return out;
+    };
+    PlanRunner runner;
+    std::ostringstream out;
+    out << "submit-rejected "
+        << hex(serving::encodeSubmitRejected(goldenVerdict())) << "\n"
+        << "result " << hex(serving::encodeResult(goldenStatus()))
+        << "\n"
+        << "request-id " << hex(serving::encodeRequestId(987654321))
+        << "\n"
+        << "status " << hex(serving::encodeStatus(goldenStatus()))
+        << "\n"
+        << "ir-seq-result-blob "
+        << hex(runner.runPlan(seqPlan()).resultBlob) << "\n";
+    EXPECT_EQ(out.str(),
+              readFile(sourcePath("tests/golden/protocol_bodies.hex")));
 }
 
 TEST(ProtocolTest, HugeDeclaredStringLengthFailsCleanly)
