@@ -8,7 +8,6 @@
  *   tune <benchmark> [options]    autotune; optional results store
  *   frontend <file|benchmark>     run the front-end compiler
  *   pipeline <ir-file> [options]  middle-end + back-end on an IR file
- *   analyze <ir-file> [options]   speculation-safety static analysis
  *   disasm <ir-file> [options]    compile to bytecode and disassemble
  *   fuzz [options]                generative differential testing
  *
@@ -33,12 +32,13 @@
  *   --no-analysis             skip the static-analysis stage
  *   --verbose                 log every case, not only failures
  *
- * Analysis options (see docs/ANALYSIS.md):
- *   --analyze[=pass]          pass to run: verify, purity,
- *                             clone-audit, freeze, escape, range,
- *                             bytecode-verify           (default all)
+ * Analysis options (pipeline; see docs/ANALYSIS.md, and stats-lint
+ * for linting modules on their own):
+ *   --analyze[=pass]          gate the middle-end output on a pass:
+ *                             verify, purity, clone-audit, freeze,
+ *                             escape, range, bytecode-verify
+ *                                                       (default all)
  *   --analysis-format=FMT     text|json                 (default text)
- *   --midend                  analyze: run the middle-end first
  *
  * Common options:
  *   --mode=original|seq|par   parallelization mode      (default par)
@@ -94,7 +94,6 @@
 #include "replay/fault_plan.hpp"
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
-#include "serving/serve_main.hpp"
 #include "support/log.hpp"
 #include "support/seed_sequence.hpp"
 #include "support/string_utils.hpp"
@@ -599,18 +598,6 @@ analyzeModule(const ir::Module &module, const std::string &file,
     return analysis::hasErrors(diags);
 }
 
-int
-cmdAnalyze(const Args &args)
-{
-    ir::Module module =
-        loadModule(args, "statscc analyze <ir-file> [options]");
-    if (args.option("midend", "") == "true")
-        midend::runMiddleEnd(module);
-    return analyzeModule(module, args.positional[0], args, std::cout)
-               ? 1
-               : 0;
-}
-
 /** Parse `--exec-tier=` (docs/INTERPRETER.md §6). */
 ir::ExecTier
 execTierOption(const Args &args)
@@ -750,48 +737,6 @@ cmdFuzz(const Args &args)
     return summary.ok() ? 0 : 1;
 }
 
-int
-cmdServe(const Args &args)
-{
-    serving::ServeArgs serve;
-    serve.socketPath = args.option("socket", serve.socketPath);
-    serve.runAnalysis = !args.options.count("no-analysis");
-    try {
-        serve.quantum = std::stod(args.option("quantum", "1"));
-    } catch (const std::exception &) {
-        support::fatal("serve: --quantum wants a number, got '",
-                       args.option("quantum", "1"), "'");
-    }
-    if (!(serve.quantum > 0.0))
-        support::fatal("serve: --quantum must be positive");
-    serve.defaultQuotaSpec = args.option("default-quota", "");
-    try {
-        serve.executionWorkers = std::stoul(
-            args.option("execution-workers", "0"));
-    } catch (const std::exception &) {
-        support::fatal("serve: --execution-workers wants a number, "
-                       "got '",
-                       args.option("execution-workers", "0"), "'");
-    }
-    serve.metricsPath = args.option("metrics", "");
-    serve.trace = args.options.count("trace") != 0;
-    // One --quota option; comma-separate multiple tenants.
-    const std::string quotas = args.option("quota", "");
-    std::size_t begin = 0;
-    while (begin < quotas.size()) {
-        const std::size_t comma = quotas.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? quotas.size() : comma;
-        if (end > begin)
-            serve.quotaSpecs.push_back(
-                quotas.substr(begin, end - begin));
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
-    }
-    return serving::serveMain(serve);
-}
-
 void
 usage()
 {
@@ -803,11 +748,8 @@ usage()
         << "  tune <benchmark> [options]   autotune a benchmark\n"
         << "  frontend <file|benchmark>    run the front-end compiler\n"
         << "  pipeline <ir-file>           middle-end + back-end\n"
-        << "  analyze <ir-file>            speculation-safety checks\n"
         << "  disasm <ir-file>             bytecode disassembly\n"
-        << "  fuzz [case-file]             differential testing campaign\n"
-        << "  serve [options]              statsd serving daemon\n"
-           "                               (docs/SERVING.md)\n";
+        << "  fuzz [case-file]             differential testing campaign\n";
 }
 
 } // namespace
@@ -831,14 +773,10 @@ main(int argc, char **argv)
         return cmdFrontend(args);
     if (command == "pipeline")
         return cmdPipeline(args);
-    if (command == "analyze")
-        return cmdAnalyze(args);
     if (command == "disasm")
         return cmdDisasm(args);
     if (command == "fuzz")
         return cmdFuzz(args);
-    if (command == "serve")
-        return cmdServe(args);
     usage();
     return 1;
 }

@@ -6,7 +6,8 @@
  * (validation + per-tenant token-bucket quotas), weighted
  * deficit-round-robin scheduling, cross-request batching, and
  * record/replay capture per served run. `stats-cli` is the matching
- * client; `stats-cli drain` is the clean shutdown path.
+ * client; `stats-cli drain` is the clean shutdown path, after which
+ * statsd prints its shutdown report (docs/SERVING.md §7).
  *
  * Usage:
  *   statsd [--socket=PATH] [--quota=tenant:rate:burst:maxq:weight]...
@@ -17,14 +18,21 @@
  * `--quota` may repeat (and each accepts a comma-separated list).
  */
 
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "serving/serve_main.hpp"
+#include "observability/metrics.hpp"
+#include "observability/trace.hpp"
+#include "serving/daemon.hpp"
 #include "support/string_utils.hpp"
 
 namespace {
+
+using namespace stats;
 
 void
 usage()
@@ -46,21 +54,45 @@ usage()
         << "  --metrics=FILE           dump metrics JSON on drain\n";
 }
 
-void
-appendCommaSeparated(std::vector<std::string> &out,
-                     const std::string &list)
+int
+fail(const std::string &message)
 {
-    std::size_t begin = 0;
-    while (begin <= list.size()) {
-        const std::size_t comma = list.find(',', begin);
-        const std::size_t end =
-            comma == std::string::npos ? list.size() : comma;
-        if (end > begin)
-            out.push_back(list.substr(begin, end - begin));
-        if (comma == std::string::npos)
-            break;
-        begin = comma + 1;
+    std::cerr << "statsd: " << message << "\n";
+    return 1;
+}
+
+/**
+ * Parse "rate:burst:maxQueued:weight" (the `tenant:`-less form).
+ * Returns false and sets `error` on a malformed spec.
+ */
+bool
+parseQuotaSpec(const std::string &spec, serving::TenantQuota &quota,
+               std::string &error)
+{
+    std::vector<std::string> parts;
+    std::stringstream stream(spec);
+    for (std::string part; std::getline(stream, part, ':');)
+        parts.push_back(part);
+    if (parts.size() != 4) {
+        error = "want rate:burst:maxQueued:weight";
+        return false;
     }
+    try {
+        quota.ratePerSec = std::stod(parts[0]);
+        quota.burst = std::stod(parts[1]);
+        quota.maxQueued =
+            static_cast<std::size_t>(std::stoull(parts[2]));
+        quota.weight = std::stoi(parts[3]);
+    } catch (const std::exception &) {
+        error = "malformed number in quota spec";
+        return false;
+    }
+    if (quota.ratePerSec <= 0.0 || quota.burst < 1.0 ||
+        quota.maxQueued < 1 || quota.weight < 1) {
+        error = "quota values out of range";
+        return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -68,10 +100,14 @@ appendCommaSeparated(std::vector<std::string> &out,
 int
 main(int argc, char **argv)
 {
-    stats::serving::ServeArgs args;
+    std::string socket_path = "statsd.sock";
+    std::string metrics_path;
+    bool trace = false;
+    serving::Server::Options options;
+    std::vector<std::pair<std::string, serving::TenantQuota>> quotas;
     for (int i = 1; i < argc; ++i) {
         const std::string word = argv[i];
-        if (!stats::support::startsWith(word, "--")) {
+        if (!support::startsWith(word, "--")) {
             usage();
             return 1;
         }
@@ -82,43 +118,52 @@ main(int argc, char **argv)
                                : eq - 2);
         const std::string value =
             eq == std::string::npos ? "" : word.substr(eq + 1);
+        std::string error;
         if (key == "socket") {
-            args.socketPath = value;
+            socket_path = value;
         } else if (key == "quota") {
-            appendCommaSeparated(args.quotaSpecs, value);
+            for (const auto &spec : support::split(value, ',')) {
+                if (spec.empty())
+                    continue;
+                const auto colon = spec.find(':');
+                serving::TenantQuota quota;
+                if (colon == std::string::npos || colon == 0 ||
+                    !parseQuotaSpec(spec.substr(colon + 1), quota,
+                                    error))
+                    return fail("--quota '" + spec + "': " +
+                                (error.empty()
+                                     ? "want tenant:rate:burst:"
+                                       "maxQueued:weight"
+                                     : error));
+                quotas.emplace_back(spec.substr(0, colon), quota);
+            }
         } else if (key == "default-quota") {
-            args.defaultQuotaSpec = value;
+            if (!parseQuotaSpec(value, options.defaultQuota, error))
+                return fail("--default-quota: " + error);
         } else if (key == "quantum") {
             try {
-                args.quantum = std::stod(value);
+                options.quantum = std::stod(value);
             } catch (const std::exception &) {
-                std::cerr << "statsd: --quantum wants a number, "
-                             "got '" << value << "'\n";
-                return 1;
+                return fail("--quantum wants a number, got '" + value +
+                            "'");
             }
-            if (!(args.quantum > 0.0)) {
-                std::cerr << "statsd: --quantum must be positive\n";
-                return 1;
-            }
+            if (!(options.quantum > 0.0))
+                return fail("--quantum must be positive");
         } else if (key == "execution-workers") {
             try {
-                args.executionWorkers = std::stoul(value);
+                options.executionWorkers = std::stoul(value);
             } catch (const std::exception &) {
-                std::cerr << "statsd: --execution-workers wants a "
-                             "number, got '" << value << "'\n";
-                return 1;
+                return fail("--execution-workers wants a number, "
+                            "got '" + value + "'");
             }
-            if (args.executionWorkers < 1) {
-                std::cerr << "statsd: --execution-workers must be "
-                             "at least 1\n";
-                return 1;
-            }
+            if (options.executionWorkers < 1)
+                return fail("--execution-workers must be at least 1");
         } else if (key == "no-analysis") {
-            args.runAnalysis = false;
+            options.runAnalysis = false;
         } else if (key == "trace") {
-            args.trace = true;
+            trace = true;
         } else if (key == "metrics") {
-            args.metricsPath = value;
+            metrics_path = value;
         } else if (key == "help") {
             usage();
             return 0;
@@ -127,5 +172,34 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    return stats::serving::serveMain(args);
+
+    if (trace) {
+        obs::Trace::global().enable();
+        if (!obs::traceActive())
+            return fail("--trace needs tracing compiled in "
+                        "(built with STATS_OBS_DISABLE)");
+    }
+
+    const bool analysis = options.runAnalysis;
+    serving::Daemon daemon(socket_path, std::move(options));
+    for (const auto &[tenant, quota] : quotas)
+        daemon.server().setQuota(tenant, quota);
+
+    std::cout << "statsd: serving on " << daemon.socketPath()
+              << " (analysis " << (analysis ? "on" : "off") << ", "
+              << daemon.server().workerCount() << " worker(s))\n";
+    daemon.serveForever();
+
+    std::cout << "statsd: drained after "
+              << daemon.server().completedCount()
+              << " completed request(s)\n";
+    if (!metrics_path.empty()) {
+        std::ofstream out(metrics_path);
+        if (!out)
+            return fail("cannot open '" + metrics_path + "'");
+        obs::MetricsRegistry::global().writeJson(out);
+        std::cout << "statsd: wrote metrics to " << metrics_path
+                  << "\n";
+    }
+    return 0;
 }

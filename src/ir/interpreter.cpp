@@ -81,6 +81,13 @@ Interpreter::evalOperand(const Operand &operand,
     support::panic("interpreter: bad operand");
 }
 
+void
+throwStepBudgetExceeded(const char *tier, const std::string &function)
+{
+    throw StepBudgetExceeded(std::string(tier) +
+                             ": step budget exceeded in @" + function);
+}
+
 RtValue
 Interpreter::call(const std::string &function,
                   const std::vector<RtValue> &args)
@@ -89,15 +96,20 @@ Interpreter::call(const std::string &function,
         _stepsUsed = 0;
     if (++_depth > 256)
         support::panic("interpreter: call depth exceeded");
+    // Every exit, a StepBudgetExceeded unwind included, puts the depth
+    // back, so the next top-level call starts a fresh step count.
+    struct DepthGuard
+    {
+        int &depth;
+        ~DepthGuard() { --depth; }
+    } depth_guard{_depth};
 
     auto external = _externals.find(function);
     const Function *fn = _module.findFunction(function);
     if (!fn) {
         if (external == _externals.end())
             support::panic("interpreter: unknown function @", function);
-        RtValue result = external->second(args);
-        --_depth;
-        return result;
+        return external->second(args);
     }
     if (args.size() != fn->params.size())
         support::panic("interpreter: @", function, " expects ",
@@ -142,8 +154,7 @@ Interpreter::call(const std::string &function,
 
         for (const auto &inst : block->instructions) {
             if (++_stepsUsed > _stepBudget)
-                support::panic("interpreter: step budget exceeded in @",
-                               function);
+                throwStepBudgetExceeded("interpreter", function);
             ++_executed;
 
             switch (inst.op) {
@@ -252,7 +263,6 @@ Interpreter::call(const std::string &function,
                 RtValue result;
                 if (!inst.operands.empty())
                     result = evalOperand(inst.operands[0], env);
-                --_depth;
                 return result;
               }
             }

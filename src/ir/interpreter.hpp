@@ -15,12 +15,35 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ir/ir.hpp"
 
 namespace stats::ir {
+
+/**
+ * Thrown by both execution tiers when a top-level call runs past its
+ * step budget. The budget is set per plan, so exhausting it fails
+ * that call and leaves the process (and the module's other callers)
+ * running; both tiers restore their call-depth state on the unwind.
+ */
+class StepBudgetExceeded : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Throw StepBudgetExceeded naming the tier and the function. Kept out
+ * of line in another file on purpose: a throw defined next to the
+ * VM's dispatch loop changed its register allocation and cost the
+ * perfbench serve_heavy workload 15-33% CPU per input (4-core x86
+ * host, GCC Release build).
+ */
+[[noreturn]] void throwStepBudgetExceeded(const char *tier,
+                                          const std::string &function);
 
 /** A runtime value: integer or floating. */
 struct RtValue
@@ -63,9 +86,9 @@ class Interpreter
     explicit Interpreter(const Module &module);
 
     /**
-     * Call a function by name. Panics on unknown functions, arity
-     * mismatches, or when the step budget is exhausted (runaway
-     * loops).
+     * Call a function by name. Panics on unknown functions and arity
+     * mismatches; throws StepBudgetExceeded when the step budget is
+     * exhausted (runaway loops).
      */
     RtValue call(const std::string &function,
                  const std::vector<RtValue> &args);

@@ -80,7 +80,7 @@ Vm::rawCall(const BcFunction &fn, std::size_t base)
 #define VM_STEP()                                                       \
     do {                                                                \
         if (++t_steps > budget)                                         \
-            support::panic("vm: step budget exceeded in @", fn.name);   \
+            throwStepBudgetExceeded("vm", fn.name);                     \
     } while (0)
 
 #ifdef STATS_VM_THREADED
@@ -319,6 +319,20 @@ Vm::call(const BcFunction &fn, const std::vector<RtValue> &args)
         t_steps = 0;
     if (++t_depth > 256)
         support::panic("vm: call depth exceeded");
+    // Every exit, a StepBudgetExceeded unwind from any depth below
+    // included, puts back the caller's depth and (at top level) drops
+    // the frame stack, so the next call on this thread starts clean.
+    struct Restore
+    {
+        int depth;
+        bool topLevel;
+        ~Restore()
+        {
+            t_depth = depth;
+            if (topLevel)
+                t_stack.clear();
+        }
+    } restore{t_depth - 1, top_level};
 
     const std::size_t base = t_stack.size();
     ensureFrame(base, fn.numRegs);
@@ -334,11 +348,8 @@ Vm::call(const BcFunction &fn, const std::vector<RtValue> &args)
     }
 
     const VmReg raw = rawCall(fn, base);
-    --t_depth;
-    if (top_level) {
+    if (top_level)
         _executed.fetch_add(t_steps, std::memory_order_relaxed);
-        t_stack.clear();
-    }
 
     RtValue result;
     switch (fn.retType) {
@@ -394,9 +405,10 @@ Vm::callBatch(const BcFunction &fn, std::size_t lanes,
     if (top_level)
         t_steps = 0;
     for (const BcInst &inst : fn.code) {
-        t_steps += lanes;
-        if (t_steps > _stepBudget)
-            support::panic("vm: step budget exceeded in @", fn.name);
+        // Each lane pays for its own instructions, as a solo call
+        // does: fusing plans never changes whether one runs out.
+        if (++t_steps > _stepBudget)
+            throwStepBudgetExceeded("vm", fn.name);
         switch (inst.op) {
           case BcOp::LdcI: {
             VmReg *d = row(inst.a);
@@ -584,7 +596,7 @@ Vm::callBatch(const BcFunction &fn, std::size_t lanes,
                                                     fn.retType);
             }
             if (top_level)
-                _executed.fetch_add(t_steps,
+                _executed.fetch_add(t_steps * lanes,
                                     std::memory_order_relaxed);
             return true;
           }

@@ -49,7 +49,11 @@ class Vm
                                            std::vector<RtValue> args)>;
     void setSlowCall(SlowCall hook) { _slowCall = std::move(hook); }
 
-    /** Cap on executed bytecode instructions per top-level call. */
+    /**
+     * Cap on executed bytecode instructions per top-level call, and
+     * per lane in callBatch; running past it throws
+     * StepBudgetExceeded.
+     */
     void setStepBudget(std::uint64_t budget) { _stepBudget = budget; }
 
     /** Bytecode instructions committed so far, across threads. */

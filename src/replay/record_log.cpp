@@ -4,14 +4,48 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/bytes.hpp"
 #include "support/log.hpp"
 
 namespace stats::replay {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'T', 'R', 'L'};
-constexpr char kTrailer[4] = {'E', 'N', 'D', 'L'};
+constexpr std::string_view kMagic = "STRL";
+constexpr std::string_view kTrailer = "ENDL";
+
+/** Smallest encodings: a metadata entry is two empty strings, a
+ *  record its kind byte plus six one-byte varints. */
+constexpr std::size_t kMinMetaBytes = 2;
+constexpr std::size_t kMinRecordBytes = 7;
+
+/**
+ * Parse the header that load() and replaceMetaInBytes() share: the
+ * magic, schema version, root seed and metadata count.
+ */
+bool
+readHeader(support::ByteReader &reader, std::uint64_t &root_seed,
+           std::uint64_t &meta_count, std::string &error)
+{
+    if (!reader.expect(kMagic)) {
+        error = "not a STATS record log (bad magic)";
+        return false;
+    }
+    const std::uint64_t version = reader.varint();
+    if (reader.ok() && version != kLogSchemaVersion) {
+        error = "unsupported log schema version " +
+                std::to_string(version) + " (expected " +
+                std::to_string(kLogSchemaVersion) + ")";
+        return false;
+    }
+    root_seed = reader.varint();
+    meta_count = reader.count(kMinMetaBytes);
+    if (!reader.ok()) {
+        error = "truncated header";
+        return false;
+    }
+    return true;
+}
 
 } // namespace
 
@@ -82,50 +116,6 @@ decodeStats(const std::vector<std::int64_t> &payload)
 }
 
 // ---------------------------------------------------------------------
-// Varint codec
-// ---------------------------------------------------------------------
-
-void
-putVarint(std::string &out, std::uint64_t value)
-{
-    while (value >= 0x80) {
-        out.push_back(static_cast<char>((value & 0x7f) | 0x80));
-        value >>= 7;
-    }
-    out.push_back(static_cast<char>(value));
-}
-
-bool
-getVarint(const std::string &in, std::size_t &pos, std::uint64_t &value)
-{
-    value = 0;
-    int shift = 0;
-    while (pos < in.size() && shift < 64) {
-        const auto byte =
-            static_cast<unsigned char>(in[pos++]);
-        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if ((byte & 0x80) == 0)
-            return true;
-        shift += 7;
-    }
-    return false;
-}
-
-std::uint64_t
-zigzagEncode(std::int64_t value)
-{
-    return (static_cast<std::uint64_t>(value) << 1) ^
-           static_cast<std::uint64_t>(value >> 63);
-}
-
-std::int64_t
-zigzagDecode(std::uint64_t value)
-{
-    return static_cast<std::int64_t>(value >> 1) ^
-           -static_cast<std::int64_t>(value & 1);
-}
-
-// ---------------------------------------------------------------------
 // RecordLog
 // ---------------------------------------------------------------------
 
@@ -162,55 +152,32 @@ RecordLog::runCount() const
     return runs;
 }
 
-namespace {
-
-void
-putString(std::string &out, const std::string &value)
-{
-    putVarint(out, value.size());
-    out.append(value);
-}
-
-bool
-getString(const std::string &in, std::size_t &pos, std::string &value)
-{
-    std::uint64_t size = 0;
-    // `size > in.size() - pos` instead of `pos + size > in.size()`:
-    // the latter wraps for a huge declared size.
-    if (!getVarint(in, pos, size) || size > in.size() - pos)
-        return false;
-    value.assign(in, pos, size);
-    pos += size;
-    return true;
-}
-
-} // namespace
-
 std::string
 RecordLog::saveToString() const
 {
-    std::string out;
-    out.append(kMagic, sizeof(kMagic));
+    using support::putSigned;
+    using support::putVarint;
+    std::string out(kMagic);
     putVarint(out, kLogSchemaVersion);
     putVarint(out, rootSeed);
     putVarint(out, metadata.size());
     for (const auto &entry : metadata) {
-        putString(out, entry.first);
-        putString(out, entry.second);
+        support::putString(out, entry.first);
+        support::putString(out, entry.second);
     }
     putVarint(out, records.size());
     for (const auto &record : records) {
         out.push_back(static_cast<char>(record.kind));
         putVarint(out, record.run);
         putVarint(out, record.epoch);
-        putVarint(out, zigzagEncode(record.group));
-        putVarint(out, zigzagEncode(record.a));
-        putVarint(out, zigzagEncode(record.b));
+        putSigned(out, record.group);
+        putSigned(out, record.a);
+        putSigned(out, record.b);
         putVarint(out, record.payload.size());
         for (std::int64_t word : record.payload)
-            putVarint(out, zigzagEncode(word));
+            putSigned(out, word);
     }
-    out.append(kTrailer, sizeof(kTrailer));
+    out.append(kTrailer);
     return out;
 }
 
@@ -219,32 +186,15 @@ RecordLog::replaceMetaInBytes(std::string &bytes, const std::string &key,
                               const std::string &value,
                               std::string &error)
 {
-    if (bytes.size() < sizeof(kMagic) ||
-        bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-        error = "not a STATS record log (bad magic)";
+    support::ByteReader reader(bytes);
+    std::uint64_t root_seed = 0, meta_count = 0;
+    if (!readHeader(reader, root_seed, meta_count, error))
         return false;
-    }
-    std::size_t pos = sizeof(kMagic);
-    std::uint64_t version = 0, root_seed = 0, meta_count = 0;
-    if (!getVarint(bytes, pos, version) ||
-        !getVarint(bytes, pos, root_seed) ||
-        !getVarint(bytes, pos, meta_count)) {
-        error = "truncated header";
-        return false;
-    }
-    if (version != kLogSchemaVersion) {
-        error = "unsupported log schema version " +
-                std::to_string(version);
-        return false;
-    }
     for (std::uint64_t i = 0; i < meta_count; ++i) {
-        std::string entry_key, entry_value;
-        if (!getString(bytes, pos, entry_key)) {
-            error = "truncated metadata";
-            return false;
-        }
-        const std::size_t value_pos = pos;
-        if (!getString(bytes, pos, entry_value)) {
+        const std::string entry_key = reader.string();
+        const std::size_t value_pos = reader.pos();
+        const std::string entry_value = reader.string();
+        if (!reader.ok()) {
             error = "truncated metadata";
             return false;
         }
@@ -252,8 +202,8 @@ RecordLog::replaceMetaInBytes(std::string &bytes, const std::string &key,
             continue;
         if (entry_value != value) {
             std::string encoded;
-            putString(encoded, value);
-            bytes.replace(value_pos, pos - value_pos, encoded);
+            support::putString(encoded, value);
+            bytes.replace(value_pos, reader.pos() - value_pos, encoded);
         }
         return true;
     }
@@ -286,93 +236,51 @@ RecordLog::load(std::istream &in, std::string &error)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     const std::string bytes = buffer.str();
-
-    if (bytes.size() < sizeof(kMagic) ||
-        bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
-        error = "not a STATS record log (bad magic)";
-        return std::nullopt;
-    }
-    std::size_t pos = sizeof(kMagic);
+    support::ByteReader reader(bytes);
 
     RecordLog log;
-    std::uint64_t version = 0;
-    if (!getVarint(bytes, pos, version)) {
-        error = "truncated header";
-        return std::nullopt;
-    }
-    if (version != kLogSchemaVersion) {
-        error = "unsupported log schema version " +
-                std::to_string(version) + " (expected " +
-                std::to_string(kLogSchemaVersion) + ")";
-        return std::nullopt;
-    }
     std::uint64_t meta_count = 0;
-    if (!getVarint(bytes, pos, log.rootSeed) ||
-        !getVarint(bytes, pos, meta_count)) {
-        error = "truncated header";
+    if (!readHeader(reader, log.rootSeed, meta_count, error))
         return std::nullopt;
+    for (std::uint64_t i = 0; i < meta_count && reader.ok(); ++i) {
+        std::string key = reader.string();
+        log.metadata.emplace_back(std::move(key), reader.string());
     }
-    for (std::uint64_t i = 0; i < meta_count; ++i) {
-        std::string key, value;
-        if (!getString(bytes, pos, key) ||
-            !getString(bytes, pos, value)) {
-            error = "truncated metadata";
-            return std::nullopt;
-        }
-        log.metadata.emplace_back(std::move(key), std::move(value));
+    if (!reader.ok()) {
+        error = "truncated metadata";
+        return std::nullopt;
     }
 
-    std::uint64_t record_count = 0;
-    if (!getVarint(bytes, pos, record_count)) {
+    const std::uint64_t record_count = reader.count(kMinRecordBytes);
+    if (!reader.ok()) {
         error = "truncated record count";
         return std::nullopt;
     }
-    log.records.reserve(record_count);
     for (std::uint64_t i = 0; i < record_count; ++i) {
-        if (pos >= bytes.size()) {
-            error = "truncated at record " + std::to_string(i);
-            return std::nullopt;
-        }
         Record record;
-        const auto kind = static_cast<unsigned char>(bytes[pos++]);
-        if (kind >= kRecordKindCount) {
+        const std::uint8_t kind = reader.byte();
+        if (reader.ok() && kind >= kRecordKindCount) {
             error = "unknown record kind " + std::to_string(kind) +
                     " at record " + std::to_string(i);
             return std::nullopt;
         }
         record.kind = static_cast<RecordKind>(kind);
-        std::uint64_t run = 0, epoch = 0, group = 0, a = 0, b = 0;
-        std::uint64_t payload_size = 0;
-        if (!getVarint(bytes, pos, run) ||
-            !getVarint(bytes, pos, epoch) ||
-            !getVarint(bytes, pos, group) ||
-            !getVarint(bytes, pos, a) || !getVarint(bytes, pos, b) ||
-            !getVarint(bytes, pos, payload_size)) {
+        record.run = static_cast<std::uint32_t>(reader.varint());
+        record.epoch = static_cast<std::uint32_t>(reader.varint());
+        record.group = static_cast<std::int32_t>(reader.signedVarint());
+        record.a = reader.signedVarint();
+        record.b = reader.signedVarint();
+        const std::uint64_t words = reader.count(1);
+        for (std::uint64_t w = 0; w < words; ++w)
+            record.payload.push_back(reader.signedVarint());
+        if (!reader.ok()) {
             error = "truncated at record " + std::to_string(i);
             return std::nullopt;
-        }
-        record.run = static_cast<std::uint32_t>(run);
-        record.epoch = static_cast<std::uint32_t>(epoch);
-        record.group =
-            static_cast<std::int32_t>(zigzagDecode(group));
-        record.a = zigzagDecode(a);
-        record.b = zigzagDecode(b);
-        record.payload.reserve(payload_size);
-        for (std::uint64_t w = 0; w < payload_size; ++w) {
-            std::uint64_t word = 0;
-            if (!getVarint(bytes, pos, word)) {
-                error = "truncated payload at record " +
-                        std::to_string(i);
-                return std::nullopt;
-            }
-            record.payload.push_back(zigzagDecode(word));
         }
         log.records.push_back(std::move(record));
     }
 
-    if (bytes.size() - pos != sizeof(kTrailer) ||
-        bytes.compare(pos, sizeof(kTrailer), kTrailer,
-                      sizeof(kTrailer)) != 0) {
+    if (!reader.expect(kTrailer) || !reader.atEnd()) {
         error = "missing trailer (truncated or trailing garbage)";
         return std::nullopt;
     }

@@ -164,19 +164,4 @@ struct RecordLog
                                              std::string &error);
 };
 
-// ---------------------------------------------------------------------
-// Varint codec (exposed for tests; the log format building block)
-// ---------------------------------------------------------------------
-
-/** Append a LEB128-encoded unsigned value. */
-void putVarint(std::string &out, std::uint64_t value);
-
-/** Decode a LEB128 value; advances `pos`. False on truncation. */
-bool getVarint(const std::string &in, std::size_t &pos,
-               std::uint64_t &value);
-
-/** Zigzag mapping for signed values. */
-std::uint64_t zigzagEncode(std::int64_t value);
-std::int64_t zigzagDecode(std::uint64_t value);
-
 } // namespace stats::replay

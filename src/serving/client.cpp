@@ -7,8 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "replay/record_log.hpp"
-
 namespace stats::serving {
 
 Client::Client(const std::string &socket_path, std::string &error)
@@ -153,9 +151,8 @@ Client::drain(std::string &error)
     if (!reply)
         return std::nullopt;
     std::uint64_t completed = 0;
-    std::size_t pos = 0;
     if (reply->type != MsgType::DrainResp ||
-        !replay::getVarint(reply->body, pos, completed)) {
+        !decodeRequestId(reply->body, completed)) {
         error = "malformed drain response";
         return std::nullopt;
     }

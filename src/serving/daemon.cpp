@@ -9,7 +9,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "replay/record_log.hpp"
 #include "serving/protocol.hpp"
 #include "support/log.hpp"
 
@@ -158,8 +157,7 @@ Daemon::handleFrame(const Frame &frame, bool &drain_requested)
       case MsgType::DrainReq: {
         const std::uint64_t completed = _server->drain();
         reply.type = MsgType::DrainResp;
-        reply.body.clear();
-        replay::putVarint(reply.body, completed);
+        reply.body = encodeRequestId(completed);
         drain_requested = true;
         break;
       }

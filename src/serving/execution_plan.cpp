@@ -2,67 +2,18 @@
 
 #include <sstream>
 
-#include "replay/record_log.hpp"
+#include "support/bytes.hpp"
 #include "support/string_utils.hpp"
 
 namespace stats::serving {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'T', 'P', 'L'};
+constexpr std::string_view kMagic = "STPL";
 
-using replay::getVarint;
-using replay::putVarint;
-using replay::zigzagDecode;
-using replay::zigzagEncode;
-
-void
-putString(std::string &out, const std::string &s)
-{
-    putVarint(out, s.size());
-    out += s;
-}
-
-bool
-getString(const std::string &in, std::size_t &pos, std::string &out)
-{
-    std::uint64_t size = 0;
-    // `size > in.size() - pos` instead of `pos + size > in.size()`:
-    // the latter wraps for a huge declared size.
-    if (!getVarint(in, pos, size) || size > in.size() - pos)
-        return false;
-    out = in.substr(pos, size);
-    pos += size;
-    return true;
-}
-
-void
-putSigned(std::string &out, std::int64_t value)
-{
-    putVarint(out, zigzagEncode(value));
-}
-
-bool
-getSigned(const std::string &in, std::size_t &pos, std::int64_t &value)
-{
-    std::uint64_t raw = 0;
-    if (!getVarint(in, pos, raw))
-        return false;
-    value = zigzagDecode(raw);
-    return true;
-}
-
-/** FNV-1a over a byte string: the compatibility/compile-cache key. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
+using support::putSigned;
+using support::putString;
+using support::putVarint;
 
 const char *
 tierWord(ir::ExecTier tier)
@@ -147,7 +98,7 @@ ExecutionPlan::compatibilityKey() const
     }
     putVarint(canon, static_cast<std::uint64_t>(execTier));
     putVarint(canon, stepBudget);
-    return fnv1a(canon);
+    return support::fnv1a(canon);
 }
 
 bool
@@ -162,7 +113,7 @@ ExecutionPlan::canBatchWith(const ExecutionPlan &other) const
 std::string
 ExecutionPlan::saveToString() const
 {
-    std::string out(kMagic, sizeof kMagic);
+    std::string out(kMagic);
     putVarint(out, kPlanSchemaVersion);
     putString(out, tenant);
     putSigned(out, priority);
@@ -222,19 +173,18 @@ ExecutionPlan::resultCacheKey() const
 std::optional<ExecutionPlan>
 ExecutionPlan::load(const std::string &bytes, std::string &error)
 {
-    if (bytes.size() < sizeof kMagic ||
-        bytes.compare(0, sizeof kMagic, kMagic, sizeof kMagic) != 0) {
+    support::ByteReader in(bytes);
+    if (!in.expect(kMagic)) {
         error = "not an execution plan (bad magic)";
         return std::nullopt;
     }
-    std::size_t pos = sizeof kMagic;
     const auto truncated = [&]() -> std::optional<ExecutionPlan> {
         error = "truncated execution plan";
         return std::nullopt;
     };
 
-    std::uint64_t version = 0;
-    if (!getVarint(bytes, pos, version))
+    const std::uint64_t version = in.varint();
+    if (!in.ok())
         return truncated();
     if (version != kPlanSchemaVersion) {
         error = "unsupported plan schema version " +
@@ -244,85 +194,58 @@ ExecutionPlan::load(const std::string &bytes, std::string &error)
     }
 
     ExecutionPlan plan;
-    std::uint64_t u = 0;
-    std::int64_t s = 0;
-    if (!getString(bytes, pos, plan.tenant))
-        return truncated();
-    if (!getSigned(bytes, pos, plan.priority))
-        return truncated();
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    if (u >= kJobKindCount) {
-        error = "unknown job kind ordinal " + std::to_string(u);
+    plan.tenant = in.string();
+    plan.priority = in.signedVarint();
+    const std::uint64_t kind = in.varint();
+    if (in.ok() && kind >= kJobKindCount) {
+        error = "unknown job kind ordinal " + std::to_string(kind);
         return std::nullopt;
     }
-    plan.kind = static_cast<JobKind>(u);
-    if (!getString(bytes, pos, plan.moduleRef) ||
-        !getString(bytes, pos, plan.moduleText))
-        return truncated();
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    for (std::uint64_t i = 0; i < u; ++i) {
-        std::string name;
-        if (!getString(bytes, pos, name) || !getSigned(bytes, pos, s))
-            return truncated();
-        plan.tradeoffIndices[name] = s;
+    plan.kind = static_cast<JobKind>(kind);
+    plan.moduleRef = in.string();
+    plan.moduleText = in.string();
+    // A tradeoff entry is at least a name length and an index.
+    const std::uint64_t tradeoffs = in.count(2);
+    for (std::uint64_t i = 0; i < tradeoffs; ++i) {
+        std::string name = in.string();
+        plan.tradeoffIndices[std::move(name)] = in.signedVarint();
     }
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    plan.limits.useAuxiliary = u != 0;
-    const auto intField = [&](int &field) {
-        if (!getSigned(bytes, pos, s))
-            return false;
-        field = static_cast<int>(s);
-        return true;
+    const auto intField = [&in] {
+        return static_cast<int>(in.signedVarint());
     };
-    if (!intField(plan.limits.groupSize) ||
-        !intField(plan.limits.auxWindow) ||
-        !intField(plan.limits.maxReexecutions) ||
-        !intField(plan.limits.rollbackDepth) ||
-        !intField(plan.limits.sdThreads) ||
-        !intField(plan.limits.innerThreads) ||
-        !intField(plan.limits.auxBatchGroups))
-        return truncated();
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    __builtin_memcpy(&plan.limits.stateCloneCost, &u,
+    plan.limits.useAuxiliary = in.varint() != 0;
+    plan.limits.groupSize = intField();
+    plan.limits.auxWindow = intField();
+    plan.limits.maxReexecutions = intField();
+    plan.limits.rollbackDepth = intField();
+    plan.limits.sdThreads = intField();
+    plan.limits.innerThreads = intField();
+    plan.limits.auxBatchGroups = intField();
+    const std::uint64_t clone_bits = in.varint();
+    __builtin_memcpy(&plan.limits.stateCloneCost, &clone_bits,
                      sizeof plan.limits.stateCloneCost);
-    if (!getVarint(bytes, pos, plan.stepBudget))
-        return truncated();
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    if (u > static_cast<std::uint64_t>(ir::ExecTier::Auto)) {
-        error = "unknown exec tier ordinal " + std::to_string(u);
+    plan.stepBudget = in.varint();
+    const std::uint64_t tier = in.varint();
+    if (in.ok() && tier > static_cast<std::uint64_t>(ir::ExecTier::Auto)) {
+        error = "unknown exec tier ordinal " + std::to_string(tier);
         return std::nullopt;
     }
-    plan.execTier = static_cast<ir::ExecTier>(u);
-    if (!intField(plan.batchLanes))
+    plan.execTier = static_cast<ir::ExecTier>(tier);
+    plan.batchLanes = intField();
+    plan.rootSeed = in.varint();
+    plan.inputs = intField();
+    plan.initialState = in.signedVarint();
+    plan.noisyPercent = intField();
+    plan.maxNoise = intField();
+    plan.benchMode = in.string();
+    plan.benchThreads = intField();
+    plan.benchWorkload = in.string();
+    plan.faults = in.string();
+    plan.recordChoices = in.varint() != 0;
+    plan.noCache = in.varint() != 0;
+    if (!in.ok())
         return truncated();
-    if (!getVarint(bytes, pos, plan.rootSeed))
-        return truncated();
-    if (!intField(plan.inputs))
-        return truncated();
-    if (!getSigned(bytes, pos, s))
-        return truncated();
-    plan.initialState = s;
-    if (!intField(plan.noisyPercent) || !intField(plan.maxNoise))
-        return truncated();
-    if (!getString(bytes, pos, plan.benchMode))
-        return truncated();
-    if (!intField(plan.benchThreads))
-        return truncated();
-    if (!getString(bytes, pos, plan.benchWorkload) ||
-        !getString(bytes, pos, plan.faults))
-        return truncated();
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    plan.recordChoices = u != 0;
-    if (!getVarint(bytes, pos, u))
-        return truncated();
-    plan.noCache = u != 0;
-    if (pos != bytes.size()) {
+    if (!in.atEnd()) {
         error = "trailing bytes after the execution plan";
         return std::nullopt;
     }

@@ -5,33 +5,11 @@
 
 #include <unistd.h>
 
-#include "replay/record_log.hpp"
+#include "support/bytes.hpp"
 
 namespace stats::serving {
 
 namespace {
-
-void
-putString(std::string &out, const std::string &value)
-{
-    replay::putVarint(out, value.size());
-    out += value;
-}
-
-bool
-getString(const std::string &in, std::size_t &pos, std::string &value)
-{
-    std::uint64_t length = 0;
-    if (!replay::getVarint(in, pos, length))
-        return false;
-    // Overflow-safe: pos <= in.size() after getVarint, and a huge
-    // length must not wrap `pos + length` past the bounds check.
-    if (length > in.size() - pos)
-        return false;
-    value = in.substr(pos, length);
-    pos += length;
-    return true;
-}
 
 bool
 readAll(int fd, void *buffer, std::size_t bytes)
@@ -120,12 +98,10 @@ std::string
 encodeSubmitRejected(const AdmissionVerdict &verdict)
 {
     std::string body;
-    replay::putVarint(body,
-                      static_cast<std::uint64_t>(verdict.reason));
-    replay::putVarint(
-        body, static_cast<std::uint64_t>(
-                  verdict.retryAfterSeconds * 1000.0));
-    putString(body, verdict.detail);
+    support::putVarint(body, static_cast<std::uint64_t>(verdict.reason));
+    support::putVarint(body, static_cast<std::uint64_t>(
+                                 verdict.retryAfterSeconds * 1000.0));
+    support::putString(body, verdict.detail);
     return body;
 }
 
@@ -133,89 +109,79 @@ bool
 decodeSubmitRejected(const std::string &body,
                      AdmissionVerdict &verdict)
 {
-    std::size_t pos = 0;
-    std::uint64_t reason = 0;
-    std::uint64_t retry_ms = 0;
-    if (!replay::getVarint(body, pos, reason) ||
-        reason >= static_cast<std::uint64_t>(kRejectReasonCount) ||
-        !replay::getVarint(body, pos, retry_ms) ||
-        !getString(body, pos, verdict.detail))
+    support::ByteReader in(body);
+    const std::uint64_t reason = in.varint();
+    const std::uint64_t retry_ms = in.varint();
+    verdict.detail = in.string();
+    if (!in.atEnd() ||
+        reason >= static_cast<std::uint64_t>(kRejectReasonCount))
         return false;
     verdict.reason = static_cast<RejectReason>(reason);
     verdict.retryAfterSeconds =
         static_cast<double>(retry_ms) / 1000.0;
-    return pos == body.size();
+    return true;
 }
 
 std::string
 encodeResult(const RequestStatus &status)
 {
     std::string body;
-    replay::putVarint(body,
-                      static_cast<std::uint64_t>(status.state));
-    replay::putVarint(body, status.result.ok ? 1 : 0);
-    putString(body, status.result.error);
-    putString(body, status.result.resultBlob);
-    replay::putVarint(
-        body, replay::zigzagEncode(status.result.finalState));
-    replay::putVarint(
-        body,
-        static_cast<std::uint64_t>(status.result.invocations));
-    replay::putVarint(
-        body,
-        static_cast<std::uint64_t>(status.result.batchedLanes));
+    support::putVarint(body, static_cast<std::uint64_t>(status.state));
+    support::putVarint(body, status.result.ok ? 1 : 0);
+    support::putString(body, status.result.error);
+    support::putString(body, status.result.resultBlob);
+    support::putSigned(body, status.result.finalState);
+    support::putVarint(
+        body, static_cast<std::uint64_t>(status.result.invocations));
+    support::putVarint(
+        body, static_cast<std::uint64_t>(status.result.batchedLanes));
     return body;
 }
 
 bool
 decodeResult(const std::string &body, RequestStatus &status)
 {
-    std::size_t pos = 0;
-    std::uint64_t state = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t final_state = 0;
-    std::uint64_t invocations = 0;
-    std::uint64_t lanes = 0;
-    if (!replay::getVarint(body, pos, state) || state > 5 ||
-        !replay::getVarint(body, pos, ok) ||
-        !getString(body, pos, status.result.error) ||
-        !getString(body, pos, status.result.resultBlob) ||
-        !replay::getVarint(body, pos, final_state) ||
-        !replay::getVarint(body, pos, invocations) ||
-        !replay::getVarint(body, pos, lanes))
+    support::ByteReader in(body);
+    const std::uint64_t state = in.varint();
+    const std::uint64_t ok = in.varint();
+    status.result.error = in.string();
+    status.result.resultBlob = in.string();
+    const std::int64_t final_state = in.signedVarint();
+    const std::uint64_t invocations = in.varint();
+    const std::uint64_t lanes = in.varint();
+    if (!in.atEnd() || state > 5)
         return false;
     status.state = static_cast<RequestState>(state);
     status.result.ok = ok != 0;
-    status.result.finalState = replay::zigzagDecode(final_state);
+    status.result.finalState = final_state;
     status.result.invocations =
         static_cast<std::int64_t>(invocations);
     status.result.batchedLanes = static_cast<int>(lanes);
-    return pos == body.size();
+    return true;
 }
 
 std::string
 encodeRequestId(std::uint64_t request_id)
 {
     std::string body;
-    replay::putVarint(body, request_id);
+    support::putVarint(body, request_id);
     return body;
 }
 
 bool
 decodeRequestId(const std::string &body, std::uint64_t &request_id)
 {
-    std::size_t pos = 0;
-    return replay::getVarint(body, pos, request_id) &&
-           pos == body.size();
+    support::ByteReader in(body);
+    request_id = in.varint();
+    return in.atEnd();
 }
 
 std::string
 encodeStatus(const RequestStatus &status)
 {
     std::string body;
-    replay::putVarint(body,
-                      static_cast<std::uint64_t>(status.state));
-    putString(body, status.tenant);
+    support::putVarint(body, static_cast<std::uint64_t>(status.state));
+    support::putString(body, status.tenant);
     return body;
 }
 
@@ -223,13 +189,13 @@ bool
 decodeStatus(const std::string &body, RequestState &state,
              std::string &tenant)
 {
-    std::size_t pos = 0;
-    std::uint64_t raw = 0;
-    if (!replay::getVarint(body, pos, raw) || raw > 5 ||
-        !getString(body, pos, tenant))
+    support::ByteReader in(body);
+    const std::uint64_t raw = in.varint();
+    tenant = in.string();
+    if (!in.atEnd() || raw > 5)
         return false;
     state = static_cast<RequestState>(raw);
-    return pos == body.size();
+    return true;
 }
 
 } // namespace stats::serving

@@ -7,8 +7,9 @@
  *
  *     u32-le payload length (type byte + body)
  *     u8     MsgType
- *     bytes  body (message-specific, varint/string coded with the
- *            RecordLog codec: LEB128 varints, length-prefixed strings)
+ *     bytes  body (message-specific, coded with support/bytes.hpp:
+ *            LEB128 varints, zigzag signed values, length-prefixed
+ *            strings)
  *
  * Request/response pairing is strict: each request frame yields
  * exactly one response frame on the same connection, in order. An
@@ -48,7 +49,7 @@ enum class MsgType : std::uint8_t
                     ///<       + string error + string resultBlob
                     ///<       + varint zigzag finalState
                     ///<       + varint invocations + varint lanes.
-    ReplayFetchResp,///< body: string RecordLog bytes ("" = none).
+    ReplayFetchResp,///< body: the RecordLog bytes (empty = none).
     DrainResp,      ///< body: varint requests completed.
     ErrorResp,      ///< body: string message.
 };
@@ -84,6 +85,7 @@ bool decodeSubmitRejected(const std::string &body,
 std::string encodeResult(const RequestStatus &status);
 bool decodeResult(const std::string &body, RequestStatus &status);
 
+/** One varint: a request id, or the DrainResp completed count. */
 std::string encodeRequestId(std::uint64_t request_id);
 bool decodeRequestId(const std::string &body,
                      std::uint64_t &request_id);

@@ -12,9 +12,9 @@
 #include "ir/parser.hpp"
 #include "midend/midend.hpp"
 #include "observability/metrics.hpp"
-#include "replay/record_log.hpp"
 #include "replay/session.hpp"
 #include "sdi/spec_engine.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/seed_sequence.hpp"
 #include "testing/oracle.hpp"
@@ -63,9 +63,9 @@ std::string
 encodeStates(const std::vector<long long> &states)
 {
     std::string out;
-    replay::putVarint(out, states.size());
+    support::putVarint(out, states.size());
     for (const long long state : states)
-        replay::putVarint(out, replay::zigzagEncode(state));
+        support::putSigned(out, state);
     return out;
 }
 
@@ -73,11 +73,11 @@ std::string
 encodeSignature(const std::vector<double> &signature)
 {
     std::string out;
-    replay::putVarint(out, signature.size());
+    support::putVarint(out, signature.size());
     for (const double value : signature) {
         std::uint64_t bits = 0;
         __builtin_memcpy(&bits, &value, sizeof bits);
-        replay::putVarint(out, bits);
+        support::putVarint(out, bits);
     }
     return out;
 }
@@ -322,6 +322,9 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
         longest = std::max(longest, plan.inputs);
     }
 
+    // A lane whose call runs past the step budget fails with that
+    // message and drops out; the other lanes go on.
+    std::vector<std::string> failed(lanes);
     std::vector<ir::RtValue> in_col, state_col, stepped;
     std::vector<std::size_t> live;
     for (int step = 0; step < longest; ++step) {
@@ -329,7 +332,7 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
         state_col.clear();
         live.clear();
         for (std::size_t l = 0; l < lanes; ++l) {
-            if (step >= batch[l].plan->inputs)
+            if (step >= batch[l].plan->inputs || !failed[l].empty())
                 continue;
             live.push_back(l);
             in_col.push_back(
@@ -341,14 +344,28 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
         stepped.assign(live.size(), ir::RtValue());
         const std::vector<const ir::RtValue *> columns = {
             in_col.data(), state_col.data()};
-        if (!exec.callBatch(fn, live.size(), columns,
-                            stepped.data())) {
-            for (std::size_t i = 0; i < live.size(); ++i)
-                stepped[i] = ir::RtValue::ofInt(
-                    interpStep(exec, fn, in_col[i].i, state_col[i].i));
+        bool batched = false;
+        try {
+            batched = exec.callBatch(fn, live.size(), columns,
+                                     stepped.data());
+        } catch (const ir::StepBudgetExceeded &overrun) {
+            // Every lane runs the same straight-line code and is
+            // charged its own steps, so all of them ran out together.
+            for (const std::size_t l : live)
+                failed[l] = overrun.what();
+            continue;
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
             const std::size_t l = live[i];
+            if (!batched) {
+                try {
+                    stepped[i] = ir::RtValue::ofInt(interpStep(
+                        exec, fn, in_col[i].i, state_col[i].i));
+                } catch (const ir::StepBudgetExceeded &overrun) {
+                    failed[l] = overrun.what();
+                    continue;
+                }
+            }
             const ExecutionPlan &plan = *batch[l].plan;
             observed[l].push_back(states[l]);
             states[l] = wrapState(
@@ -359,13 +376,17 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
     }
 
     for (std::size_t l = 0; l < lanes; ++l) {
+        results[l].batchedLanes = static_cast<int>(lanes);
+        if (!failed[l].empty()) {
+            results[l].error = failed[l];
+            continue;
+        }
         auto all = observed[l];
         all.push_back(states[l]); // Final state closes the chain.
         results[l].ok = true;
         results[l].resultBlob = encodeStates(all);
         results[l].finalState = states[l];
         results[l].invocations = batch[l].plan->inputs;
-        results[l].batchedLanes = static_cast<int>(lanes);
         // Sequential interpretation never consults the ReplaySession
         // (no engine choice points, fault specs inert), so a lane's
         // RecordLog is seed + metadata only and can be captured after
@@ -411,9 +432,26 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
     auto counters = std::make_shared<std::vector<std::atomic<int>>>(
         inputs.size());
 
+    // The first call to run past the step budget fails the plan; the
+    // engine still runs to its end, but no later call enters the
+    // module.
+    std::string exhausted;
+    const auto step = [&exec, &exhausted](const std::string &fn,
+                                          long long input,
+                                          long long state) {
+        if (!exhausted.empty())
+            return state;
+        try {
+            return interpStep(exec, fn, input, state);
+        } catch (const ir::StepBudgetExceeded &overrun) {
+            exhausted = overrun.what();
+            return state;
+        }
+    };
+
     using Engine = sdi::SpecEngine<In, long long, Out>;
     Engine::ComputeFn compute =
-        [&exec, &compute_fn, counters, noise_seed, noisy, max_noise](
+        [&step, &compute_fn, counters, noise_seed, noisy, max_noise](
             const In &in, long long &state,
             const sdi::ComputeContext &) {
             Out out{in.pos, state};
@@ -421,7 +459,7 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
                 (*counters)[std::size_t(in.pos)].fetch_add(
                     1, std::memory_order_relaxed);
             state = wrapState(
-                interpStep(exec, compute_fn, in.value, state) +
+                step(compute_fn, in.value, state) +
                 noiseFor(noise_seed, in.pos, attempt, noisy,
                          max_noise));
             Engine::Invocation inv;
@@ -430,11 +468,10 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
             return inv;
         };
     Engine::ComputeFn auxiliary =
-        [&exec, &aux_fn](const In &in, long long &state,
+        [&step, &aux_fn](const In &in, long long &state,
                          const sdi::ComputeContext &) {
             Out out{in.pos, state};
-            state =
-                wrapState(interpStep(exec, aux_fn, in.value, state));
+            state = wrapState(step(aux_fn, in.value, state));
             Engine::Invocation inv;
             inv.output = std::make_unique<Out>(out);
             inv.cost = exec::Work{5e-6, 0.2};
@@ -463,6 +500,10 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
                   compute, auxiliary, matcher, plan.limits);
     engine.start();
     engine.join();
+    if (!exhausted.empty()) {
+        result.error = exhausted;
+        return result;
+    }
 
     std::vector<long long> states;
     for (const auto &output : engine.outputs())

@@ -1,30 +1,14 @@
 #include "support/seed_sequence.hpp"
 
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 
 namespace stats::support {
 
-namespace {
-
-/** FNV-1a over a byte range, 64-bit. */
-std::uint64_t
-fnv1a(std::uint64_t hash, const void *data, std::size_t size)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
-} // namespace
-
 std::uint64_t
 SeedSequence::derive(std::string_view stream) const
 {
-    std::uint64_t hash = fnv1a(0xcbf29ce484222325ULL ^ _root,
-                               stream.data(), stream.size());
+    std::uint64_t hash = fnv1a(stream, kFnvOffsetBasis ^ _root);
     // splitmix64 finalization: FNV alone is too linear for seeds that
     // feed xoshiro state expansion.
     return splitmix64(hash);
@@ -33,9 +17,10 @@ SeedSequence::derive(std::string_view stream) const
 std::uint64_t
 SeedSequence::derive(std::string_view stream, std::uint64_t index) const
 {
-    std::uint64_t hash = fnv1a(0xcbf29ce484222325ULL ^ _root,
-                               stream.data(), stream.size());
-    hash = fnv1a(hash, &index, sizeof(index));
+    std::uint64_t hash = fnv1a(
+        std::string_view(reinterpret_cast<const char *>(&index),
+                         sizeof index),
+        fnv1a(stream, kFnvOffsetBasis ^ _root));
     return splitmix64(hash);
 }
 

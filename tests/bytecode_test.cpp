@@ -434,8 +434,21 @@ exit:
 )");
     ir::ExecutableModule exec(module, ir::ExecTier::Bytecode);
     exec.setStepBudget(100);
-    EXPECT_DEATH(exec.call("spin", {RtValue::ofInt(1'000'000)}),
-                 "step budget");
+    // A runaway call throws (it used to panic) with the same message.
+    EXPECT_THROW(
+        {
+            try {
+                exec.call("spin", {RtValue::ofInt(1'000'000)});
+            } catch (const ir::StepBudgetExceeded &overrun) {
+                EXPECT_NE(std::string(overrun.what()).find("step budget"),
+                          std::string::npos);
+                throw;
+            }
+        },
+        ir::StepBudgetExceeded);
+    // The unwind restored the thread's call state: the next call gets
+    // a fresh budget and runs normally.
+    EXPECT_EQ(exec.call("spin", {RtValue::ofInt(10)}).asInt(), 10);
 }
 
 TEST(ExecTier, NamesRoundTripAndCountersAdvance)

@@ -268,7 +268,23 @@ entry:
     const Module module = parseModule(text);
     Interpreter interp(module);
     interp.setStepBudget(1000);
-    EXPECT_DEATH(interp.call("spin", {}), "step budget");
+    // A runaway call throws (it used to panic) with the same message.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        EXPECT_THROW(
+            {
+                try {
+                    interp.call("spin", {});
+                } catch (const StepBudgetExceeded &overrun) {
+                    EXPECT_NE(
+                        std::string(overrun.what()).find("step budget"),
+                        std::string::npos);
+                    throw;
+                }
+            },
+            StepBudgetExceeded);
+    }
+    // Each attempt got a fresh budget: the unwind restored the depth.
+    EXPECT_EQ(interp.executedInstructions(), 2000u);
 }
 
 TEST(IrInterpreter, Recursion)

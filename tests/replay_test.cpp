@@ -28,6 +28,7 @@
 #include "replay/record_log.hpp"
 #include "replay/session.hpp"
 #include "sdi/spec_engine.hpp"
+#include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/seed_sequence.hpp"
 
@@ -35,47 +36,6 @@ namespace {
 
 using namespace stats;
 using sdi::SpecConfig;
-
-// =====================================================================
-// Varint / zigzag codec
-// =====================================================================
-
-TEST(Varint, RoundTripsBoundaryValues)
-{
-    const std::uint64_t values[] = {
-        0,   1,   127,        128,        16383, 16384,
-        ~0ULL >> 1, ~0ULL, 0x8000000000000000ULL, 42};
-    for (std::uint64_t value : values) {
-        std::string buffer;
-        replay::putVarint(buffer, value);
-        std::size_t pos = 0;
-        std::uint64_t decoded = 0;
-        ASSERT_TRUE(replay::getVarint(buffer, pos, decoded));
-        EXPECT_EQ(decoded, value);
-        EXPECT_EQ(pos, buffer.size());
-    }
-}
-
-TEST(Varint, DetectsTruncation)
-{
-    std::string buffer;
-    replay::putVarint(buffer, 1ULL << 40);
-    buffer.resize(buffer.size() - 1); // Drop the terminating byte.
-    std::size_t pos = 0;
-    std::uint64_t decoded = 0;
-    EXPECT_FALSE(replay::getVarint(buffer, pos, decoded));
-}
-
-TEST(Zigzag, RoundTripsSignedValues)
-{
-    const std::int64_t values[] = {0, -1, 1, -2, 2, 1LL << 62,
-                                   -(1LL << 62), INT64_MIN, INT64_MAX};
-    for (std::int64_t value : values)
-        EXPECT_EQ(replay::zigzagDecode(replay::zigzagEncode(value)),
-                  value);
-    // Small magnitudes stay small (the point of the encoding).
-    EXPECT_LE(replay::zigzagEncode(-3), 8u);
-}
 
 // =====================================================================
 // RecordLog serialization
@@ -169,6 +129,27 @@ TEST(RecordLog, RejectsCorruptInputs)
 
     const auto ok = tryLoad(good);
     EXPECT_TRUE(ok.has_value());
+}
+
+TEST(RecordLog, HugeDeclaredRecordCountFailsCleanly)
+{
+    // Regression: a 13-byte log (magic, version, seed, no metadata)
+    // declaring 2^40 records made load() reserve that many and throw
+    // std::bad_alloc; 2^62 threw std::length_error. A count the
+    // remaining bytes cannot hold is now a clean rejection.
+    for (const std::uint64_t declared :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+        std::string bytes = "STRL";
+        support::putVarint(bytes, replay::kLogSchemaVersion);
+        support::putVarint(bytes, 0); // root seed
+        support::putVarint(bytes, 0); // metadata entries
+        support::putVarint(bytes, declared);
+        std::istringstream in(bytes);
+        std::string error;
+        EXPECT_FALSE(replay::RecordLog::load(in, error).has_value())
+            << declared;
+        EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    }
 }
 
 TEST(RecordLog, ReplaceMetaInBytesMatchesADecodedEdit)

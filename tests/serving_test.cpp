@@ -36,6 +36,7 @@
 #include "serving/runner.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/server.hpp"
+#include "support/bytes.hpp"
 
 #include "serving_test_util.hpp"
 
@@ -64,6 +65,29 @@ const char *const kFixtureModule =
     "entry:\n"
     "  %a = add i64 %state, %input\n"
     "  ret i64 %a\n"
+    "}\n";
+
+/**
+ * Loops `state` times, then returns the input (plus 1 when the state
+ * was below 1): served states stay under 1000, while a huge initial
+ * state runs away until the step budget stops it.
+ */
+const char *const kLoopModule =
+    "module \"serving_loop\"\n"
+    "statedep SD0 compute=@computeOutput\n"
+    "\n"
+    "func @computeOutput(i64 %input, i64 %state) -> i64 {\n"
+    "entry:\n"
+    "  jmp loop\n"
+    "loop:\n"
+    "  %k = phi i64 [0, entry], [%k2, loop]\n"
+    "  %k2 = add i64 %k, 1\n"
+    "  %go = cmplt i64 %k2, %state\n"
+    "  br %go, loop, exit\n"
+    "exit:\n"
+    "  %extra = sub i64 %k2, %state\n"
+    "  %out = add i64 %input, %extra\n"
+    "  ret i64 %out\n"
     "}\n";
 
 std::string
@@ -230,9 +254,9 @@ TEST(ExecutionPlanTest, HugeDeclaredStringLengthFailsCleanly)
     // wrap the decoder's `pos + size` bounds check. The decoder must
     // fail fast, not proceed on a wrapped cursor.
     std::string bytes = "STPL";
-    replay::putVarint(bytes, serving::kPlanSchemaVersion);
+    support::putVarint(bytes, serving::kPlanSchemaVersion);
     // Tenant string claiming UINT64_MAX bytes, none present.
-    replay::putVarint(bytes, ~std::uint64_t{0});
+    support::putVarint(bytes, ~std::uint64_t{0});
     std::string error;
     EXPECT_FALSE(ExecutionPlan::load(bytes, error).has_value());
 }
@@ -595,6 +619,127 @@ TEST(RunnerTest, ServedRecordLogReplaysWithZeroDivergence)
     EXPECT_EQ(second.resultBlob, first.resultBlob);
 }
 
+/** A plan over kLoopModule whose budget only a runaway exhausts. */
+ExecutionPlan
+loopPlan(std::uint64_t seed, long long initial_state,
+         ir::ExecTier tier = ir::ExecTier::Auto)
+{
+    ExecutionPlan plan = seqPlan(seed);
+    plan.moduleText = kLoopModule;
+    plan.stepBudget = 20000;
+    plan.initialState = initial_state;
+    plan.execTier = tier;
+    return plan;
+}
+
+TEST(RunnerTest, StepBudgetOverrunFailsThePlanNotTheProcess)
+{
+    for (const JobKind kind :
+         {JobKind::IrSequential, JobKind::IrSpeculative}) {
+        for (const ir::ExecTier tier :
+             {ir::ExecTier::Ast, ir::ExecTier::Bytecode}) {
+            ExecutionPlan plan = seqPlan();
+            plan.kind = kind;
+            plan.execTier = tier;
+            plan.stepBudget = 1;
+            ASSERT_EQ(plan.validate(), "");
+            PlanRunner runner;
+            const PlanResult result = runner.runPlan(plan);
+            EXPECT_FALSE(result.ok) << jobKindName(kind);
+            EXPECT_NE(result.error.find("step budget exceeded in "
+                                        "@computeOutput"),
+                      std::string::npos)
+                << result.error;
+            EXPECT_TRUE(result.resultBlob.empty());
+        }
+    }
+}
+
+TEST(RunnerTest, FusedLanesSpendTheBudgetOfASoloCall)
+{
+    // Fusion charges each lane its own steps: a budget that a solo
+    // call fits fits every fused lane, and one it does not fit fails
+    // every lane with the solo message.
+    for (const std::uint64_t budget : {1u, 2u, 3u, 4u}) {
+        std::vector<QueuedPlan> batch;
+        std::vector<PlanResult> solo;
+        PlanRunner solo_runner;
+        for (std::uint64_t seed = 11; seed < 15; ++seed) {
+            ExecutionPlan plan = seqPlan(seed);
+            plan.stepBudget = budget;
+            solo.push_back(solo_runner.runPlan(plan));
+            batch.push_back(queued(plan));
+        }
+        PlanRunner fused;
+        const auto results = fused.runBatch(batch);
+        ASSERT_EQ(results.size(), solo.size());
+        for (std::size_t l = 0; l < results.size(); ++l) {
+            SCOPED_TRACE("budget " + std::to_string(budget) + " lane " +
+                         std::to_string(l));
+            EXPECT_EQ(results[l].ok, solo[l].ok);
+            EXPECT_EQ(results[l].ok, budget > 1);
+            EXPECT_EQ(results[l].error, solo[l].error);
+            EXPECT_EQ(results[l].resultBlob, solo[l].resultBlob);
+            EXPECT_EQ(results[l].finalState, solo[l].finalState);
+            EXPECT_EQ(results[l].batchedLanes, 4);
+        }
+    }
+}
+
+TEST(RunnerTest, BudgetOverrunFailsOnlyItsOwnLane)
+{
+    // kLoopModule does not batch, so fused lanes fall back to scalar
+    // calls; the runaway lane fails and its neighbours finish.
+    PlanRunner solo;
+    const PlanResult a = solo.runPlan(loopPlan(21, 0));
+    const PlanResult b = solo.runPlan(loopPlan(22, 5));
+    ASSERT_TRUE(a.ok && b.ok) << a.error << b.error;
+
+    PlanRunner fused;
+    const auto results = fused.runBatch({queued(loopPlan(21, 0)),
+                                         queued(loopPlan(23, 1'000'000)),
+                                         queued(loopPlan(22, 5))});
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_FALSE(results[1].ok);
+    EXPECT_NE(results[1].error.find("step budget exceeded"),
+              std::string::npos)
+        << results[1].error;
+    EXPECT_TRUE(results[2].ok) << results[2].error;
+    EXPECT_EQ(results[0].resultBlob, a.resultBlob);
+    EXPECT_EQ(results[2].resultBlob, b.resultBlob);
+}
+
+TEST(RunnerTest, NextPlanAfterABudgetOverrunMatchesAFreshRunner)
+{
+    // The overrun unwinds out of a leased ExecutableModule; the lease
+    // goes back to the pool and serves the next plan, which must not
+    // see any call state the unwind left behind.
+    for (const ir::ExecTier tier :
+         {ir::ExecTier::Ast, ir::ExecTier::Bytecode}) {
+        for (const JobKind kind :
+             {JobKind::IrSequential, JobKind::IrSpeculative}) {
+            ExecutionPlan runaway = loopPlan(31, 1'000'000, tier);
+            ExecutionPlan normal = loopPlan(32, 3, tier);
+            runaway.kind = kind;
+            normal.kind = kind;
+            PlanRunner runner;
+            const PlanResult failed = runner.runPlan(runaway);
+            EXPECT_FALSE(failed.ok);
+            const PlanResult next = runner.runPlan(normal);
+            EXPECT_EQ(runner.cacheSize(), 1u);
+
+            PlanRunner fresh;
+            const PlanResult expected = fresh.runPlan(normal);
+            ASSERT_TRUE(expected.ok) << expected.error;
+            EXPECT_TRUE(next.ok) << next.error;
+            EXPECT_EQ(next.resultBlob, expected.resultBlob);
+            EXPECT_EQ(next.finalState, expected.finalState);
+            EXPECT_EQ(next.invocations, expected.invocations);
+        }
+    }
+}
+
 // ============================================================ Server
 
 TEST(ServerTest, ServedRunsAreByteIdenticalAcrossSubmissions)
@@ -854,9 +999,9 @@ TEST(ProtocolTest, HugeDeclaredStringLengthFailsCleanly)
     // Regression: a detail-string length varint near UINT64_MAX used
     // to wrap the decoder's `pos + length` bounds check.
     std::string body;
-    replay::putVarint(body, 0); // reason
-    replay::putVarint(body, 0); // retry-after ms
-    replay::putVarint(body, ~std::uint64_t{0}); // detail length
+    support::putVarint(body, 0); // reason
+    support::putVarint(body, 0); // retry-after ms
+    support::putVarint(body, ~std::uint64_t{0}); // detail length
     AdmissionVerdict decoded;
     EXPECT_FALSE(serving::decodeSubmitRejected(body, decoded));
 }
@@ -957,6 +1102,49 @@ TEST(DaemonTest, MalformedSubmissionsAreRejectedNotFatal)
     const auto request_id =
         client.submit(seqPlan().saveToString(), verdict, error);
     EXPECT_TRUE(request_id.has_value()) << error;
+    ASSERT_TRUE(client.drain(error).has_value()) << error;
+    serve.join();
+}
+
+TEST(DaemonTest, StepBudgetOverrunEndsFailedAndServingGoesOn)
+{
+    const std::string socket_path =
+        "serving_test_budget_" + std::to_string(::getpid()) + ".sock";
+    serving::Daemon daemon(socket_path);
+    std::thread serve([&daemon] { daemon.serveForever(); });
+
+    std::string error;
+    serving::Client client(socket_path, error);
+    ASSERT_TRUE(client.connected()) << error;
+
+    const auto finish = [&](const ExecutionPlan &plan) {
+        AdmissionVerdict verdict;
+        const auto request_id =
+            client.submit(plan.saveToString(), verdict, error);
+        EXPECT_TRUE(request_id.has_value())
+            << error << " " << verdict.detail;
+        std::optional<serving::RequestStatus> status;
+        EXPECT_TRUE(serving_testing::pollUntil([&] {
+            status = client.result(request_id.value_or(0), error);
+            return status && (status->state == RequestState::Done ||
+                              status->state == RequestState::Failed);
+        }));
+        return status.value_or(serving::RequestStatus{});
+    };
+
+    ExecutionPlan runaway = seqPlan(56);
+    runaway.stepBudget = 1;
+    const auto failed = finish(runaway);
+    EXPECT_EQ(failed.state, RequestState::Failed);
+    EXPECT_NE(failed.result.error.find("step budget exceeded"),
+              std::string::npos)
+        << failed.result.error;
+
+    // The daemon survived the overrun and serves the next plan.
+    const auto done = finish(seqPlan(57));
+    EXPECT_EQ(done.state, RequestState::Done);
+    EXPECT_EQ(done.result.resultBlob,
+              PlanRunner().runPlan(seqPlan(57)).resultBlob);
     ASSERT_TRUE(client.drain(error).has_value()) << error;
     serve.join();
 }

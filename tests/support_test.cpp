@@ -1,14 +1,16 @@
 /**
  * @file
  * Unit tests for the support library: PRVGs, statistics, JSON
- * writing, string utilities.
+ * writing, string utilities, and the byte codec.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "support/bytes.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
@@ -197,6 +199,150 @@ TEST(Table, AlignsColumns)
     EXPECT_NE(text.find("swaptions"), std::string::npos);
     EXPECT_NE(text.find("12.35"), std::string::npos);
     EXPECT_NE(text.find("-----"), std::string::npos);
+}
+
+// =====================================================================
+// Byte codec (support/bytes.hpp)
+// =====================================================================
+
+TEST(Varint, RoundTripsBoundaryValues)
+{
+    const std::uint64_t values[] = {
+        0,   1,   127,        128,        16383, 16384,
+        ~0ULL >> 1, ~0ULL, 0x8000000000000000ULL, 42};
+    for (std::uint64_t value : values) {
+        std::string buffer;
+        putVarint(buffer, value);
+        ByteReader reader(buffer);
+        EXPECT_EQ(reader.varint(), value);
+        EXPECT_TRUE(reader.atEnd());
+    }
+}
+
+TEST(Varint, DetectsTruncation)
+{
+    std::string buffer;
+    putVarint(buffer, 1ULL << 40);
+    buffer.resize(buffer.size() - 1); // Drop the terminating byte.
+    ByteReader reader(buffer);
+    EXPECT_EQ(reader.varint(), 0u);
+    EXPECT_FALSE(reader.ok());
+}
+
+TEST(Zigzag, RoundTripsSignedValues)
+{
+    const std::int64_t values[] = {0, -1, 1, -2, 2, 1LL << 62,
+                                   -(1LL << 62), INT64_MIN, INT64_MAX};
+    for (std::int64_t value : values) {
+        std::string buffer;
+        putSigned(buffer, value);
+        ByteReader reader(buffer);
+        EXPECT_EQ(reader.signedVarint(), value);
+        EXPECT_TRUE(reader.atEnd());
+    }
+    // Small magnitudes stay small (the point of the mapping): -3 maps
+    // to 5, a one-byte varint.
+    std::string buffer;
+    putSigned(buffer, -3);
+    EXPECT_EQ(buffer, std::string(1, '\x05'));
+}
+
+TEST(ByteReader, StringsAndLiteralsRoundTrip)
+{
+    std::string buffer = "MAGC";
+    putString(buffer, "");
+    putString(buffer, std::string("a\0b", 3));
+    buffer.push_back('\x7f');
+    ByteReader reader(buffer);
+    EXPECT_TRUE(reader.expect("MAGC"));
+    EXPECT_EQ(reader.string(), "");
+    EXPECT_EQ(reader.string(), std::string("a\0b", 3));
+    EXPECT_EQ(reader.byte(), 0x7f);
+    EXPECT_TRUE(reader.atEnd());
+
+    ByteReader wrong(buffer);
+    EXPECT_FALSE(wrong.expect("MAGX"));
+    EXPECT_FALSE(wrong.ok());
+    EXPECT_EQ(wrong.pos(), 0u);
+}
+
+TEST(ByteReader, FailuresAreSticky)
+{
+    std::string buffer;
+    putVarint(buffer, 300);
+    putString(buffer, "tail");
+    ByteReader reader(buffer);
+    EXPECT_FALSE(reader.expect("nope"));
+    // Every later read fails, even one the bytes could satisfy, and
+    // the cursor does not move.
+    EXPECT_EQ(reader.varint(), 0u);
+    EXPECT_EQ(reader.string(), "");
+    EXPECT_EQ(reader.byte(), 0u);
+    EXPECT_EQ(reader.signedVarint(), 0);
+    EXPECT_EQ(reader.count(1), 0u);
+    EXPECT_FALSE(reader.ok());
+    EXPECT_FALSE(reader.atEnd());
+    EXPECT_EQ(reader.pos(), 0u);
+
+    // Running off the end also sticks.
+    ByteReader tail(std::string_view(buffer).substr(0, 2));
+    EXPECT_EQ(tail.varint(), 300u);
+    EXPECT_EQ(tail.byte(), 0u);
+    EXPECT_FALSE(tail.ok());
+}
+
+TEST(ByteReader, CountIsBoundedByTheRemainingBytes)
+{
+    // Four bytes follow the count: room for four 1-byte items or two
+    // 2-byte items, never more.
+    const auto declaring = [](std::uint64_t declared) {
+        std::string buffer;
+        putVarint(buffer, declared);
+        return buffer + "wxyz";
+    };
+    const std::string four = declaring(4);
+    ByteReader ones(four);
+    EXPECT_EQ(ones.count(1), 4u);
+    EXPECT_TRUE(ones.ok());
+    ByteReader twos(four);
+    EXPECT_EQ(twos.count(2), 0u);
+    EXPECT_FALSE(twos.ok());
+    const std::string two = declaring(2);
+    ByteReader pairs(two);
+    EXPECT_EQ(pairs.count(2), 2u);
+    EXPECT_TRUE(pairs.ok());
+    // A count near 2^64 is rejected, never used to size anything.
+    for (const std::uint64_t huge : {1ULL << 40, 1ULL << 62, ~0ULL}) {
+        const std::string bytes = declaring(huge);
+        ByteReader reader(bytes);
+        EXPECT_EQ(reader.count(1), 0u) << huge;
+        EXPECT_FALSE(reader.ok()) << huge;
+    }
+}
+
+TEST(ByteReader, HugeStringLengthFailsWithoutWrapping)
+{
+    // `pos + length` would wrap to a small value for these lengths;
+    // the reader compares against the remaining bytes instead.
+    for (const std::uint64_t length :
+         {~0ULL, ~0ULL - 1, 1ULL << 63, 5ULL}) {
+        std::string buffer;
+        putVarint(buffer, length);
+        buffer += "abcd";
+        ByteReader reader(buffer);
+        EXPECT_EQ(reader.string(), "") << length;
+        EXPECT_FALSE(reader.ok()) << length;
+    }
+}
+
+TEST(Fnv1a, MatchesTheReferenceVectorsAndChains)
+{
+    // Published FNV-1a 64-bit test vectors.
+    EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+    // A seed continues a previous hash.
+    EXPECT_EQ(fnv1a("bar", fnv1a("foo")), fnv1a("foobar"));
 }
 
 } // namespace

@@ -2,18 +2,16 @@
  * @file
  * stats-fuzz — developer driver for the generative testing subsystem.
  *
- * `statscc fuzz` is the one-shot campaign entry point; this tool
- * exposes the individual stages for debugging a finding:
+ * `statscc fuzz` runs campaigns; this tool exposes the individual
+ * stages for debugging a finding:
  *
  *   stats-fuzz gen --seed=S --index=I          print generated case I
  *   stats-fuzz run <case-file>...              oracle each case file
  *   stats-fuzz shrink <case-file> [--out=F]    minimize a failing case
- *   stats-fuzz campaign [options]              same as `statscc fuzz`
  *
- * Common options:
- *   --seed=N --runs=N --artifacts=DIR --near-miss-every=N
- *   --faults-every=N --max-inputs=N --no-shrink --shrink-evals=N
- *   --max-failures=N --no-analysis --verbose
+ * Options: gen takes --near-miss-every=N --faults-every=N
+ * --max-inputs=N; shrink takes --shrink-evals=N; run and shrink take
+ * --no-analysis.
  */
 
 #include <fstream>
@@ -34,7 +32,9 @@ struct Options
     std::uint64_t seed = 1;
     std::uint64_t index = 0;
     std::string out;
-    testing::CampaignOptions campaign;
+    testing::GeneratorOptions generator;
+    testing::OracleOptions oracle;
+    int shrinkEvaluations = 400;
     std::vector<std::string> files;
 };
 
@@ -42,11 +42,11 @@ struct Options
 usage()
 {
     std::cerr
-        << "usage: stats-fuzz <gen|run|shrink|campaign> [options]\n"
+        << "usage: stats-fuzz <gen|run|shrink> [options]\n"
         << "  gen --seed=S --index=I        print one generated case\n"
         << "  run <case-file>...            run the oracle on cases\n"
         << "  shrink <case-file> [--out=F]  minimize a failing case\n"
-        << "  campaign [options]            full fuzzing campaign\n";
+        << "campaigns: statscc fuzz\n";
     std::exit(2);
 }
 
@@ -81,31 +81,20 @@ parseOptions(int argc, char **argv)
         };
         if (key == "seed") {
             options.seed = parseU64(value);
-            options.campaign.seed = options.seed;
         } else if (key == "index") {
             options.index = parseU64(value);
         } else if (key == "out") {
             options.out = value;
-        } else if (key == "runs") {
-            options.campaign.runs = intValue();
-        } else if (key == "artifacts") {
-            options.campaign.artifactsDir = value;
         } else if (key == "near-miss-every") {
-            options.campaign.generator.nearMissEvery = intValue();
+            options.generator.nearMissEvery = intValue();
         } else if (key == "faults-every") {
-            options.campaign.generator.faultsEvery = intValue();
+            options.generator.faultsEvery = intValue();
         } else if (key == "max-inputs") {
-            options.campaign.generator.maxInputs = intValue();
-        } else if (key == "no-shrink") {
-            options.campaign.shrink = false;
+            options.generator.maxInputs = intValue();
         } else if (key == "shrink-evals") {
-            options.campaign.shrinkEvaluations = intValue();
-        } else if (key == "max-failures") {
-            options.campaign.maxFailures = intValue();
+            options.shrinkEvaluations = intValue();
         } else if (key == "no-analysis") {
-            options.campaign.oracle.runAnalysis = false;
-        } else if (key == "verbose") {
-            options.campaign.verbose = true;
+            options.oracle.runAnalysis = false;
         } else {
             usage();
         }
@@ -117,7 +106,7 @@ int
 cmdGen(const Options &options)
 {
     const testing::FuzzCase fuzz_case = testing::generateCase(
-        options.seed, options.index, options.campaign.generator);
+        options.seed, options.index, options.generator);
     std::cout << testing::serializeCase(fuzz_case);
     return 0;
 }
@@ -130,7 +119,7 @@ cmdRun(const Options &options)
     int failed = 0;
     for (const auto &file : options.files) {
         const auto result = testing::replayCaseFile(
-            file, options.campaign.oracle, std::cout);
+            file, options.oracle, std::cout);
         if (!result.ok)
             ++failed;
     }
@@ -148,8 +137,8 @@ cmdShrink(const Options &options)
         support::fatal("cannot load '", options.files[0], "': ", error);
 
     testing::ShrinkOptions shrink;
-    shrink.maxEvaluations = options.campaign.shrinkEvaluations;
-    shrink.oracle = options.campaign.oracle;
+    shrink.maxEvaluations = options.shrinkEvaluations;
+    shrink.oracle = options.oracle;
     const auto result = testing::shrinkCase(*loaded, shrink);
     if (result.failKind.empty()) {
         std::cerr << "case does not fail the oracle; nothing to shrink\n";
@@ -172,14 +161,6 @@ cmdShrink(const Options &options)
     return 0;
 }
 
-int
-cmdCampaign(const Options &options)
-{
-    const auto summary =
-        testing::runCampaign(options.campaign, std::cout);
-    return summary.ok() ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -195,7 +176,5 @@ main(int argc, char **argv)
         return cmdRun(options);
     if (command == "shrink")
         return cmdShrink(options);
-    if (command == "campaign")
-        return cmdCampaign(options);
     usage();
 }
