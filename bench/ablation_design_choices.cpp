@@ -35,8 +35,8 @@ struct Cell
 };
 
 Cell
-runWith(Benchmark &bench, double seq_time, const char *dim,
-        std::int64_t index, int threads,
+runWith(Benchmark &bench, benchx::ObsSession &obs, double seq_time,
+        const char *dim, std::int64_t index, int threads,
         std::int64_t aux_window_index = -1)
 {
     const auto space = bench.stateSpace(threads);
@@ -45,7 +45,7 @@ runWith(Benchmark &bench, double seq_time, const char *dim,
     if (aux_window_index >= 0)
         space.set(config, dims::kAuxWindow, aux_window_index);
 
-    RunRequest request;
+    RunRequest request = obs.request();
     request.mode = Mode::SeqStats;
     request.config = config;
     request.threads = threads;
@@ -91,12 +91,12 @@ main(int argc, char **argv)
                                 "match rate", "aborts"});
     for (const std::string name : {"bodytrack", "facedet"}) {
         auto bench = createBenchmark(name);
-        const double seq = benchx::sequentialTime(*bench);
+        const double seq = benchx::sequentialTime(*bench, obs_session);
         for (std::int64_t r_index = 0;
              r_index < static_cast<std::int64_t>(reexecValues().size());
              ++r_index) {
-            const Cell cell = runWith(*bench, seq, dims::kReexecs,
-                                      r_index, kThreads,
+            const Cell cell = runWith(*bench, obs_session, seq,
+                                      dims::kReexecs, r_index, kThreads,
                                       /* k index: 3 inputs */ 2);
             table_r.addRow(
                 {name,
@@ -116,13 +116,14 @@ main(int argc, char **argv)
                                 "match rate", "aborts"});
     for (const std::string name : {"bodytrack", "facedet"}) {
         auto bench = createBenchmark(name);
-        const double seq = benchx::sequentialTime(*bench);
+        const double seq = benchx::sequentialTime(*bench, obs_session);
         for (std::int64_t k_index = 0;
              k_index <
              static_cast<std::int64_t>(auxWindowValues().size());
              ++k_index) {
-            const Cell cell = runWith(*bench, seq, dims::kAuxWindow,
-                                      k_index, kThreads);
+            const Cell cell = runWith(*bench, obs_session, seq,
+                                      dims::kAuxWindow, k_index,
+                                      kThreads);
             table_k.addRow(
                 {name,
                  std::to_string(auxWindowValues()[static_cast<
@@ -140,13 +141,14 @@ main(int argc, char **argv)
                                 "match rate"});
     for (const std::string name : {"swaptions", "streamcluster"}) {
         auto bench = createBenchmark(name);
-        const double seq = benchx::sequentialTime(*bench);
+        const double seq = benchx::sequentialTime(*bench, obs_session);
         for (std::int64_t g_index = 0;
              g_index <
              static_cast<std::int64_t>(groupSizeValues().size());
              ++g_index) {
-            const Cell cell = runWith(*bench, seq, dims::kGroupSize,
-                                      g_index, kThreads);
+            const Cell cell = runWith(*bench, obs_session, seq,
+                                      dims::kGroupSize, g_index,
+                                      kThreads);
             table_g.addRow(
                 {name,
                  std::to_string(groupSizeValues()[static_cast<

@@ -9,7 +9,6 @@
 #include "observability/trace.hpp"
 #include "replay/fault_plan.hpp"
 #include "replay/record_log.hpp"
-#include "replay/session.hpp"
 #include "support/log.hpp"
 #include "support/statistics.hpp"
 #include "support/string_utils.hpp"
@@ -46,9 +45,9 @@ threadSweep()
 }
 
 double
-sequentialTime(benchmarks::Benchmark &benchmark)
+sequentialTime(benchmarks::Benchmark &benchmark, ObsSession &obs)
 {
-    benchmarks::RunRequest request;
+    benchmarks::RunRequest request = obs.request();
     request.threads = 1;
     request.mode = benchmarks::Mode::Original;
     request.machine = paperMachine();
@@ -60,14 +59,15 @@ sequentialTime(benchmarks::Benchmark &benchmark)
 }
 
 TunedPoint
-tuneAt(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
-       int threads, const sim::MachineConfig &machine, int budget,
+tuneAt(benchmarks::Benchmark &benchmark, ObsSession &obs,
+       benchmarks::Mode mode, int threads,
+       const sim::MachineConfig &machine, int budget,
        profiler::Objective objective, std::uint64_t seed,
        benchmarks::WorkloadKind workload)
 {
     const auto tuned = profiler::tuneBenchmark(
         benchmark, mode, threads, machine, objective, budget, seed,
-        workload);
+        workload, /*workload_seed=*/1, obs.replay());
     TunedPoint point;
     point.config = tuned.config;
     point.seconds = tuned.measurement.seconds;
@@ -79,11 +79,11 @@ tuneAt(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
 namespace {
 
 double
-measure(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
-        const tradeoff::Configuration &config, int threads,
-        const sim::MachineConfig &machine, int reps = 3)
+measure(benchmarks::Benchmark &benchmark, ObsSession &obs,
+        benchmarks::Mode mode, const tradeoff::Configuration &config,
+        int threads, const sim::MachineConfig &machine, int reps = 3)
 {
-    benchmarks::RunRequest request;
+    benchmarks::RunRequest request = obs.request();
     request.mode = mode;
     request.config = config;
     request.threads = threads;
@@ -98,14 +98,15 @@ measure(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
 } // namespace
 
 ModeCurve
-originalCurve(benchmarks::Benchmark &benchmark,
+originalCurve(benchmarks::Benchmark &benchmark, ObsSession &obs,
               const sim::MachineConfig &machine,
               const std::vector<int> &threads)
 {
     ModeCurve curve;
     for (int t : threads) {
-        curve.times.push_back(measure(
-            benchmark, benchmarks::Mode::Original, {}, t, machine));
+        curve.times.push_back(measure(benchmark, obs,
+                                      benchmarks::Mode::Original, {}, t,
+                                      machine));
     }
     curve.bestTime =
         *std::min_element(curve.times.begin(), curve.times.end());
@@ -113,15 +114,15 @@ originalCurve(benchmarks::Benchmark &benchmark,
 }
 
 ModeCurve
-tunedCurve(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
-           const sim::MachineConfig &machine,
+tunedCurve(benchmarks::Benchmark &benchmark, ObsSession &obs,
+           benchmarks::Mode mode, const sim::MachineConfig &machine,
            const std::vector<int> &threads, int budget)
 {
     static const std::vector<int> pivots{4, 14, 28};
     std::vector<TunedPoint> tuned;
     for (int pivot : pivots)
         tuned.push_back(
-            tuneAt(benchmark, mode, pivot, machine, budget));
+            tuneAt(benchmark, obs, mode, pivot, machine, budget));
 
     ModeCurve curve;
     for (int t : threads) {
@@ -131,7 +132,7 @@ tunedCurve(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
         // at any pivot is available everywhere.
         double best = 1e300;
         for (const auto &point : tuned) {
-            best = std::min(best, measure(benchmark, mode,
+            best = std::min(best, measure(benchmark, obs, mode,
                                           point.config, t, machine));
         }
         curve.times.push_back(best);
@@ -142,19 +143,22 @@ tunedCurve(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
 }
 
 Scalability
-measureScalability(benchmarks::Benchmark &benchmark, int budget)
+measureScalability(benchmarks::Benchmark &benchmark, ObsSession &obs,
+                   int budget)
 {
     const auto machine = paperMachine();
     const auto &threads = threadSweep();
 
     Scalability result;
     result.name = benchmark.name();
-    result.seqTime = sequentialTime(benchmark);
-    result.original = originalCurve(benchmark, machine, threads);
-    result.seqStats = tunedCurve(benchmark, benchmarks::Mode::SeqStats,
-                                 machine, threads, budget);
-    const ModeCurve par = tunedCurve(
-        benchmark, benchmarks::Mode::ParStats, machine, threads, budget);
+    result.seqTime = sequentialTime(benchmark, obs);
+    result.original = originalCurve(benchmark, obs, machine, threads);
+    result.seqStats = tunedCurve(benchmark, obs,
+                                 benchmarks::Mode::SeqStats, machine,
+                                 threads, budget);
+    const ModeCurve par =
+        tunedCurve(benchmark, obs, benchmarks::Mode::ParStats, machine,
+                   threads, budget);
 
     // Par. STATS explores both TLP sources; take the better search
     // outcome per point.
@@ -237,20 +241,19 @@ ObsSession::ObsSession(int argc, char **argv)
         auto plan = replay::FaultPlan::fromSpec(fault_spec, error);
         if (!plan)
             support::fatal(error);
-        replay::ReplaySession::global().setFaultPlan(*plan);
+        _replay.setFaultPlan(*plan);
         std::cerr << "fault plan: " << plan->describe() << "\n";
     }
 
     if (!seed_word.empty())
         _seed = std::stoull(seed_word);
-    auto &session = replay::ReplaySession::global();
     if (!_replayPath.empty()) {
         std::string error;
         auto log = replay::RecordLog::loadFile(_replayPath, error);
         if (!log)
             support::fatal("--replay: ", error);
         _seed = log->rootSeed;
-        session.startReplay(std::move(*log));
+        _replay.startReplay(std::move(*log));
     } else if (!_recordPath.empty()) {
         if (_seed == 0) {
             // Entropy seeding cannot be reproduced; pin the run.
@@ -258,9 +261,9 @@ ObsSession::ObsSession(int argc, char **argv)
             std::cerr << "note: --record without --seed; pinning root "
                          "seed to 1 for determinism\n";
         }
-        session.startRecording(_seed);
-        session.setMetadata("harness", argc > 0 ? argv[0] : "");
-        session.setMetadata("seed", std::to_string(_seed));
+        _replay.startRecording(_seed);
+        _replay.setMetadata("harness", argc > 0 ? argv[0] : "");
+        _replay.setMetadata("seed", std::to_string(_seed));
     }
     // A nonzero root seed pins entropySeed() for the whole process:
     // what makes two recordings of the same harness byte-identical.
@@ -270,16 +273,15 @@ ObsSession::ObsSession(int argc, char **argv)
 
 ObsSession::~ObsSession()
 {
-    auto &session = replay::ReplaySession::global();
     if (!_recordPath.empty()) {
-        const replay::RecordLog log = session.finishRecording();
+        const replay::RecordLog log = _replay.finishRecording();
         log.saveFile(_recordPath);
         std::cerr << "recorded " << log.records.size()
                   << " choice points (" << log.runCount()
                   << " engine runs, seed " << log.rootSeed << ") to "
                   << _recordPath << "\n";
     } else if (!_replayPath.empty()) {
-        const replay::ReplayReport report = session.finishReplay();
+        const replay::ReplayReport report = _replay.finishReplay();
         if (report.diverged) {
             // Fatal so CI's replay-determinism job fails loudly.
             support::fatal("replay DIVERGED: ",

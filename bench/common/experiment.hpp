@@ -17,12 +17,15 @@
 
 #include "benchmarks/common/benchmark.hpp"
 #include "profiler/profiler.hpp"
+#include "replay/session.hpp"
 #include "sim/machine.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace stats::benchx {
+
+class ObsSession;
 
 /** The paper's platform: dual-socket 14-core Haswell, HT off. */
 sim::MachineConfig paperMachine();
@@ -34,7 +37,7 @@ sim::MachineConfig singleSocketMachine(bool hyper_threading);
 const std::vector<int> &threadSweep();
 
 /** Sequential baseline: the out-of-the-box program on one core. */
-double sequentialTime(benchmarks::Benchmark &benchmark);
+double sequentialTime(benchmarks::Benchmark &benchmark, ObsSession &obs);
 
 /** One tuned configuration and its measured run time. */
 struct TunedPoint
@@ -46,9 +49,9 @@ struct TunedPoint
 };
 
 /** Autotune a benchmark at one (mode, threads) point. */
-TunedPoint tuneAt(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
-                  int threads, const sim::MachineConfig &machine,
-                  int budget,
+TunedPoint tuneAt(benchmarks::Benchmark &benchmark, ObsSession &obs,
+                  benchmarks::Mode mode, int threads,
+                  const sim::MachineConfig &machine, int budget,
                   profiler::Objective objective = profiler::Objective::Time,
                   std::uint64_t seed = 1,
                   benchmarks::WorkloadKind workload =
@@ -62,7 +65,7 @@ struct ModeCurve
 };
 
 /** Out-of-the-box curve: default configuration, original TLP only. */
-ModeCurve originalCurve(benchmarks::Benchmark &benchmark,
+ModeCurve originalCurve(benchmarks::Benchmark &benchmark, ObsSession &obs,
                         const sim::MachineConfig &machine,
                         const std::vector<int> &threads);
 
@@ -72,7 +75,7 @@ ModeCurve originalCurve(benchmarks::Benchmark &benchmark,
  * other sweep points (the paper tunes per core count; pivots bound
  * the harness's run time).
  */
-ModeCurve tunedCurve(benchmarks::Benchmark &benchmark,
+ModeCurve tunedCurve(benchmarks::Benchmark &benchmark, ObsSession &obs,
                      benchmarks::Mode mode,
                      const sim::MachineConfig &machine,
                      const std::vector<int> &threads, int budget);
@@ -95,7 +98,7 @@ struct Scalability
  * the paper's single Par search explores.
  */
 Scalability measureScalability(benchmarks::Benchmark &benchmark,
-                               int budget = 36);
+                               ObsSession &obs, int budget = 36);
 
 /** Speedups of a curve against a sequential baseline. */
 std::vector<double> speedups(const ModeCurve &curve, double seq_time);
@@ -138,6 +141,18 @@ class ObsSession
     /** Root seed pinning this run (0 = entropy, unpinned). */
     std::uint64_t seed() const { return _seed; }
 
+    /** The harness's one replay session (inert without the flags). */
+    replay::ReplaySession *replay() { return &_replay; }
+
+    /** A run request that runs under the harness's replay session. */
+    benchmarks::RunRequest
+    request()
+    {
+        benchmarks::RunRequest request;
+        request.session = &_replay;
+        return request;
+    }
+
   private:
     std::string _tracePath;
     std::string _metricsPath;
@@ -145,6 +160,7 @@ class ObsSession
     std::string _replayPath;
     std::uint64_t _seed = 0;
     bool _active = false;
+    replay::ReplaySession _replay;
 
     /** Process-wide PRVG pin making the whole harness deterministic. */
     std::optional<support::ScopedDeterministicSeeds> _pinned;

@@ -65,7 +65,7 @@ main(int argc, char **argv)
         support::RunningStat stat;
         Row row{name, {}};
         for (int run = 0; run < kRuns; ++run) {
-            RunRequest request;
+            RunRequest request = obs_session.request();
             request.threads = 1;
             request.mode = Mode::Original;
             request.runSeed = 0; // Entropy: the real nondeterminism.

@@ -30,9 +30,10 @@ main(int argc, char **argv)
 
     for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
-        const double seq = benchx::sequentialTime(*bench);
-        const auto curve = benchx::originalCurve(
-            *bench, benchx::paperMachine(), benchx::threadSweep());
+        const double seq = benchx::sequentialTime(*bench, obs_session);
+        const auto curve =
+            benchx::originalCurve(*bench, obs_session, benchx::paperMachine(),
+                                  benchx::threadSweep());
         const auto speeds = benchx::speedups(curve, seq);
         std::size_t best = 0;
         for (std::size_t i = 1; i < speeds.size(); ++i) {

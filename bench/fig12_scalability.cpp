@@ -43,7 +43,7 @@ main(int argc, char **argv)
 
     for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
-        const auto data = benchx::measureScalability(*bench);
+        const auto data = benchx::measureScalability(*bench, obs_session);
 
         const auto orig = benchx::speedups(data.original, data.seqTime);
         const auto seqs = benchx::speedups(data.seqStats, data.seqTime);

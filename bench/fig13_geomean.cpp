@@ -28,7 +28,7 @@ main(int argc, char **argv)
 
     for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
-        const auto data = benchx::measureScalability(*bench, 24);
+        const auto data = benchx::measureScalability(*bench, obs_session, 24);
         original_all.push_back(
             benchx::speedups(data.original, data.seqTime));
         par_all.push_back(benchx::speedups(data.parStats, data.seqTime));

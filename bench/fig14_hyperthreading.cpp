@@ -42,24 +42,27 @@ main(int argc, char **argv)
 
     for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
-        const double seq = benchx::sequentialTime(*bench);
+        const double seq = benchx::sequentialTime(*bench, obs_session);
 
         // Original: best thread count on each machine (a user would
         // not force sync-bound code onto every hardware thread).
-        const auto original_no_ht =
-            benchx::originalCurve(*bench, no_ht, socket_threads);
+        const auto original_no_ht = benchx::originalCurve(
+            *bench, obs_session, no_ht, socket_threads);
         const auto original_ht =
-            benchx::originalCurve(*bench, ht, ht_threads);
+            benchx::originalCurve(*bench, obs_session, ht, ht_threads);
 
         // STATS: best of the Seq/Par searches (as in Figure 12).
-        const auto stats_no_ht = std::min(
-            benchx::tuneAt(*bench, Mode::ParStats, 14, no_ht, 32)
-                .seconds,
-            benchx::tuneAt(*bench, Mode::SeqStats, 14, no_ht, 32)
-                .seconds);
-        const auto stats_ht = std::min(
-            benchx::tuneAt(*bench, Mode::ParStats, 28, ht, 32).seconds,
-            benchx::tuneAt(*bench, Mode::SeqStats, 28, ht, 32).seconds);
+        const auto tuned_seconds = [&](Mode mode, int threads,
+                                       const sim::MachineConfig &machine) {
+            return benchx::tuneAt(*bench, obs_session, mode, threads,
+                                  machine, 32)
+                .seconds;
+        };
+        const auto stats_no_ht =
+            std::min(tuned_seconds(Mode::ParStats, 14, no_ht),
+                     tuned_seconds(Mode::SeqStats, 14, no_ht));
+        const auto stats_ht = std::min(tuned_seconds(Mode::ParStats, 28, ht),
+                                       tuned_seconds(Mode::SeqStats, 28, ht));
 
         const double v_o14 = seq / original_no_ht.bestTime;
         const double v_o28 = seq / original_ht.bestTime;

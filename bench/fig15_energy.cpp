@@ -41,7 +41,7 @@ main(int argc, char **argv)
         double best_original_energy = 0.0;
         double best_original_time = 1e300;
         for (int t : benchx::threadSweep()) {
-            RunRequest request;
+            RunRequest request = obs_session.request();
             request.threads = t;
             request.mode = Mode::Original;
             request.machine = machine;
@@ -53,10 +53,10 @@ main(int argc, char **argv)
         }
 
         const auto time_tuned = benchx::tuneAt(
-            *bench, Mode::ParStats, 28, machine, 36,
+            *bench, obs_session, Mode::ParStats, 28, machine, 36,
             profiler::Objective::Time);
         const auto energy_tuned = benchx::tuneAt(
-            *bench, Mode::ParStats, 28, machine, 36,
+            *bench, obs_session, Mode::ParStats, 28, machine, 36,
             profiler::Objective::Energy);
 
         const double time_pct =

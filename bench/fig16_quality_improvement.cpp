@@ -52,7 +52,7 @@ main(int argc, char **argv)
             bench->oracleSignature(WorkloadKind::Representative, 1);
 
         // Original: best time on 28 cores; its quality.
-        RunRequest original;
+        RunRequest original = obs_session.request();
         original.threads = 28;
         original.mode = Mode::Original;
         original.machine = machine;
@@ -61,15 +61,15 @@ main(int argc, char **argv)
             bench->quality(original_run.signature, oracle);
 
         // STATS: tuned; iterate within the original's budget.
-        const auto tuned =
-            benchx::tuneAt(*bench, Mode::ParStats, 28, machine, 30);
+        const auto tuned = benchx::tuneAt(*bench, obs_session,
+                                          Mode::ParStats, 28, machine, 30);
         const int iterations = std::max(
             1, static_cast<int>(std::llround(
                    original_run.virtualSeconds /
                    std::max(tuned.seconds, 1e-12))));
 
         std::vector<std::vector<double>> signatures;
-        RunRequest stats_run;
+        RunRequest stats_run = obs_session.request();
         stats_run.threads = 28;
         stats_run.mode = Mode::ParStats;
         stats_run.config = tuned.config;

@@ -40,14 +40,15 @@ main(int argc, char **argv)
 
     for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
-        const double seq_time = benchx::sequentialTime(*bench);
+        const double seq_time =
+            benchx::sequentialTime(*bench, obs_session);
         const auto oracle =
             bench->oracleSignature(WorkloadKind::Representative, 1);
 
         // The output-variability gate: the worst original quality.
         double variability_gate = 0.0;
         for (std::uint64_t run = 0; run < 5; ++run) {
-            RunRequest request;
+            RunRequest request = obs_session.request();
             request.threads = 1;
             request.mode = Mode::Original;
             const double q =
@@ -60,8 +61,9 @@ main(int argc, char **argv)
             double seq_speedup = 1.0, par_speedup = 1.0;
             std::string note;
             for (const bool parallel : {false, true}) {
-                const auto result = runBaseline(kind, *bench, parallel,
-                                                kThreads, machine);
+                const auto result =
+                    runBaseline(kind, *bench, parallel, kThreads, machine,
+                                obs_session.replay());
                 double speedup = seq_time / result.virtualSeconds;
                 // Quality gate (paper: "kept the highest speedups
                 // obtained without exceeding the original output
@@ -69,7 +71,7 @@ main(int argc, char **argv)
                 if (result.usedSpeculation &&
                     result.quality > variability_gate) {
                     note = "quality-gated to original";
-                    RunRequest fallback;
+                    RunRequest fallback = obs_session.request();
                     fallback.mode = Mode::Original;
                     fallback.threads = parallel ? kThreads : 1;
                     fallback.machine = machine;
@@ -97,10 +99,10 @@ main(int argc, char **argv)
         }
 
         // STATS itself.
-        const auto stats_seq =
-            benchx::tuneAt(*bench, Mode::SeqStats, kThreads, machine, 30);
-        const auto stats_par =
-            benchx::tuneAt(*bench, Mode::ParStats, kThreads, machine, 30);
+        const auto stats_seq = benchx::tuneAt(
+            *bench, obs_session, Mode::SeqStats, kThreads, machine, 30);
+        const auto stats_par = benchx::tuneAt(
+            *bench, obs_session, Mode::ParStats, kThreads, machine, 30);
         const double stats_seq_speedup = seq_time / stats_seq.seconds;
         const double stats_par_speedup =
             seq_time / std::min(stats_par.seconds, stats_seq.seconds);

@@ -29,7 +29,8 @@ namespace {
  * rest are pinned to their defaults before every evaluation.
  */
 double
-tunedTimeWithSubset(Benchmark &bench, int enabled, int threads,
+tunedTimeWithSubset(Benchmark &bench, benchx::ObsSession &obs,
+                    int enabled, int threads,
                     const sim::MachineConfig &machine, int budget)
 {
     const auto space = bench.stateSpace(threads);
@@ -43,6 +44,7 @@ tunedTimeWithSubset(Benchmark &bench, int enabled, int threads,
     }
 
     profiler::Profiler profiler(bench, Mode::ParStats, threads, machine);
+    profiler.setReplaySession(obs.replay());
     autotuner::Autotuner tuner(space, 7);
     const auto result = tuner.tune(
         [&](const tradeoff::Configuration &config) {
@@ -57,7 +59,8 @@ tunedTimeWithSubset(Benchmark &bench, int enabled, int threads,
                 // No tradeoffs encoded: no auxiliary code to tune.
                 space.set(pinned, dims::kUseAux, 0);
             }
-            return profiler.profile(pinned).seconds;
+            return obs.replay()->mistrainObjective(
+                profiler.profile(pinned).seconds);
         },
         budget);
     return result.bestObjective;
@@ -98,13 +101,13 @@ main(int argc, char **argv)
         }
 
         const double full_time = tunedTimeWithSubset(
-            *bench, aux_count, kThreads, machine, 30);
+            *bench, obs_session, aux_count, kThreads, machine, 30);
         json.beginObject().field("name", name).key("relative");
         json.beginArray();
         for (int n = 0; n <= kMaxTradeoffs; ++n) {
             const double time = tunedTimeWithSubset(
-                *bench, std::min(n, aux_count), kThreads, machine,
-                n == 0 ? 8 : 22);
+                *bench, obs_session, std::min(n, aux_count), kThreads,
+                machine, n == 0 ? 8 : 22);
             const double relative = full_time / time; // Speedup ratio.
             ratios[static_cast<std::size_t>(n)].push_back(
                 std::min(relative, 1.0));

@@ -39,9 +39,9 @@ main(int argc, char **argv)
 
     for (const auto &name : allBenchmarkNames()) {
         auto bench = createBenchmark(name);
-        const double seq = benchx::sequentialTime(*bench);
+        const double seq = benchx::sequentialTime(*bench, obs_session);
 
-        RunRequest original;
+        RunRequest original = obs_session.request();
         original.threads = kThreads;
         original.mode = Mode::Original;
         original.machine = machine;
@@ -49,17 +49,17 @@ main(int argc, char **argv)
             seq / bench->run(original).virtualSeconds;
 
         const auto trained_well = benchx::tuneAt(
-            *bench, Mode::ParStats, kThreads, machine, 32,
+            *bench, obs_session, Mode::ParStats, kThreads, machine, 32,
             profiler::Objective::Time, 1,
             WorkloadKind::Representative);
         const auto trained_badly = benchx::tuneAt(
-            *bench, Mode::ParStats, kThreads, machine, 32,
+            *bench, obs_session, Mode::ParStats, kThreads, machine, 32,
             profiler::Objective::Time, 1,
             WorkloadKind::NonRepresentative);
 
         // Evaluate both configurations on the representative inputs.
         const auto evaluate = [&](const tradeoff::Configuration &config) {
-            RunRequest request;
+            RunRequest request = obs_session.request();
             request.threads = kThreads;
             request.mode = Mode::ParStats;
             request.config = config;

@@ -47,6 +47,7 @@ main(int argc, char **argv)
         for (int seed = 1; seed <= kSearches; ++seed) {
             profiler::Profiler profiler(*bench, Mode::ParStats, kThreads,
                                         machine);
+            profiler.setReplaySession(obs_session.replay());
             autotuner::Autotuner tuner(
                 bench->stateSpace(kThreads),
                 static_cast<std::uint64_t>(seed) * 977);

@@ -81,9 +81,10 @@ main(int argc, char **argv)
         // Extra committed work, measured on a real autotuned STATS
         // run (the binary the toolchain would ship).
         auto bench = createBenchmark(name);
-        const auto tuned = benchx::tuneAt(*bench, Mode::SeqStats, 28,
-                                          benchx::paperMachine(), 30);
-        RunRequest request;
+        const auto tuned =
+            benchx::tuneAt(*bench, obs_session, Mode::SeqStats, 28,
+                           benchx::paperMachine(), 30);
+        RunRequest request = obs_session.request();
         request.threads = 28;
         request.mode = Mode::SeqStats;
         request.config = tuned.config;

@@ -1,7 +1,6 @@
 #include "autotuner/tuner.hpp"
 
 #include "observability/metrics.hpp"
-#include "replay/session.hpp"
 #include "support/json.hpp"
 #include "support/log.hpp"
 
@@ -72,13 +71,6 @@ Autotuner::tune(const Objective &objective, int budget,
             cache_hits_counter.add();
         } else {
             value = objective(config);
-            // Mistrain fault: perturb the measured objective before it
-            // reaches the cache, the bandit, and the techniques — the
-            // tuner trains on systematically wrong observations.
-            if (replay::sessionEngaged()) {
-                value = replay::ReplaySession::current()
-                            .mistrainObjective(value);
-            }
             _results.emplace(config, value);
             ++result.evaluations;
             evaluations_counter.add();

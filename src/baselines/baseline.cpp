@@ -55,7 +55,8 @@ applicable(BaselineKind kind, const std::string &benchmark)
 BaselineResult
 runBaseline(BaselineKind kind, benchmarks::Benchmark &benchmark,
             bool parallel_original, int threads,
-            const sim::MachineConfig &machine)
+            const sim::MachineConfig &machine,
+            replay::ReplaySession *session)
 {
     using benchmarks::Mode;
     using benchmarks::RunRequest;
@@ -65,6 +66,7 @@ runBaseline(BaselineKind kind, benchmarks::Benchmark &benchmark,
     RunRequest request;
     request.threads = threads;
     request.machine = machine;
+    request.session = session;
 
     if (!applicable(kind, benchmark.name())) {
         // Fallback: dependences satisfied conventionally; only the

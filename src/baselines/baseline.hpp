@@ -69,11 +69,13 @@ struct BaselineResult
  * Seq (no original TLP) or Par (with original TLP) flavor. When the
  * baseline is structurally inapplicable, the benchmark runs with the
  * original parallelization only (its dependences satisfied
- * conventionally), which is the paper's fallback.
+ * conventionally), which is the paper's fallback. The run records or
+ * replays through `session` (nullptr = off).
  */
 BaselineResult runBaseline(BaselineKind kind,
                            benchmarks::Benchmark &benchmark,
                            bool parallel_original, int threads,
-                           const sim::MachineConfig &machine);
+                           const sim::MachineConfig &machine,
+                           replay::ReplaySession *session = nullptr);
 
 } // namespace stats::baselines

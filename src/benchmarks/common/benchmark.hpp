@@ -28,6 +28,10 @@
 #include "tradeoff/registry.hpp"
 #include "tradeoff/state_space.hpp"
 
+namespace stats::replay {
+class ReplaySession;
+}
+
 namespace stats::benchmarks {
 
 /** The three parallelization modes of paper Figure 12. */
@@ -96,6 +100,9 @@ struct RunRequest
 
     /** Speculation policy (STATS by default; see section 4.4). */
     SpeculationPolicy policy = SpeculationPolicy::StatsAux;
+
+    /** Record/replay session of the run (nullptr = off). */
+    replay::ReplaySession *session = nullptr;
 };
 
 /** Result of one benchmark execution. */

@@ -342,6 +342,7 @@ StreamBenchmarkBase::run(const RunRequest &request)
     // Run with a custom signature: the domain score of the final
     // solution (DB index or B-cubed F1).
     exec::SimExecutor executor(request.machine, request.threads);
+    executor.replaySession = request.session;
     SdiProgram<PointBatch, Solution, SolutionSnapshot>::Engine engine(
         executor, program.inputs, program.initialState, program.compute,
         program.auxiliary, program.matcher, spec);

@@ -210,27 +210,27 @@ struct ObsOptions
 
 /**
  * Record/replay + fault-injection options shared by `run` and `tune`
- * (docs/REPLAY.md). Lifecycle: fromArgs() loads the log and installs
- * the fault plan, metadata defaults may then be consulted, start()
- * flips the global session on, finish() saves the recording or
- * reports the replay verdict (the process exit code).
+ * (docs/REPLAY.md), and the command's one replay session. Lifecycle:
+ * the constructor loads the log and installs the fault plan, metadata
+ * defaults may then be consulted, start() puts the session into
+ * record or replay mode, finish() saves the recording or reports the
+ * replay verdict (the process exit code).
  */
 struct ReplayOptions
 {
     std::string recordPath;
     std::string replayPath;
     replay::RecordLog log; ///< Loaded log; consumed by start().
+    replay::ReplaySession session;
 
     bool recording() const { return !recordPath.empty(); }
     bool replaying() const { return !replayPath.empty(); }
 
-    static ReplayOptions
-    fromArgs(const Args &args)
+    explicit ReplayOptions(const Args &args)
+        : recordPath(args.option("record", "")),
+          replayPath(args.option("replay", ""))
     {
-        ReplayOptions options;
-        options.recordPath = args.option("record", "");
-        options.replayPath = args.option("replay", "");
-        if (options.recording() && options.replaying())
+        if (recording() && replaying())
             support::fatal("--record and --replay are exclusive");
         const std::string fault_spec = args.option("faults", "");
         if (!fault_spec.empty()) {
@@ -238,18 +238,16 @@ struct ReplayOptions
             auto plan = replay::FaultPlan::fromSpec(fault_spec, error);
             if (!plan)
                 support::fatal(error);
-            replay::ReplaySession::global().setFaultPlan(*plan);
+            session.setFaultPlan(*plan);
             std::cout << "fault plan: " << plan->describe() << "\n";
         }
-        if (options.replaying()) {
+        if (replaying()) {
             std::string error;
-            auto loaded =
-                replay::RecordLog::loadFile(options.replayPath, error);
+            auto loaded = replay::RecordLog::loadFile(replayPath, error);
             if (!loaded)
                 support::fatal("--replay: ", error);
-            options.log = std::move(*loaded);
+            log = std::move(*loaded);
         }
-        return options;
     }
 
     /**
@@ -268,7 +266,6 @@ struct ReplayOptions
     std::uint64_t
     start(std::uint64_t requested_seed)
     {
-        auto &session = replay::ReplaySession::global();
         if (replaying()) {
             const std::uint64_t seed = log.rootSeed;
             session.startReplay(std::move(log));
@@ -290,9 +287,8 @@ struct ReplayOptions
 
     /** Save/verify; returns the process exit code (1 = divergence). */
     int
-    finish() const
+    finish()
     {
-        auto &session = replay::ReplaySession::global();
         if (recording()) {
             const replay::RecordLog recorded =
                 session.finishRecording();
@@ -363,7 +359,7 @@ cmdList(const Args &)
 int
 cmdRun(const Args &args)
 {
-    ReplayOptions replay_options = ReplayOptions::fromArgs(args);
+    ReplayOptions replay_options(args);
     // On replay the recording itself supplies the benchmark and any
     // option not overridden on the command line.
     const std::string bench_name =
@@ -393,8 +389,9 @@ cmdRun(const Args &args)
         request.workloadSeed = seeds.derive("workload");
         request.runSeed = seeds.derive("run");
     }
+    request.session = &replay_options.session;
     if (replay_options.recording()) {
-        auto &session = replay::ReplaySession::global();
+        auto &session = replay_options.session;
         session.setMetadata("benchmark", bench->name());
         session.setMetadata("mode", args.option("mode", "par"));
         session.setMetadata("threads",
@@ -433,7 +430,7 @@ cmdTune(const Args &args)
     if (args.positional.empty())
         support::fatal("usage: statscc tune <benchmark> [options]");
     auto bench = createBenchmark(args.positional[0]);
-    ReplayOptions replay_options = ReplayOptions::fromArgs(args);
+    ReplayOptions replay_options(args);
     const ObsOptions obs_options = ObsOptions::fromArgs(args);
 
     const Mode mode = parseMode(args.option("mode", "par"));
@@ -448,7 +445,7 @@ cmdTune(const Args &args)
         static_cast<std::uint64_t>(args.intOption("seed", 1)));
     const support::SeedSequence seeds(root_seed);
     if (replay_options.recording()) {
-        auto &session = replay::ReplaySession::global();
+        auto &session = replay_options.session;
         session.setMetadata("benchmark", bench->name());
         session.setMetadata("command", "tune");
         session.setMetadata("seed", std::to_string(root_seed));
@@ -458,6 +455,7 @@ cmdTune(const Args &args)
     profiler::Profiler profiler(*bench, mode, threads, machine,
                                 parseWorkload(args.option("workload",
                                                           "rep")));
+    profiler.setReplaySession(&replay_options.session);
     autotuner::Autotuner tuner(bench->stateSpace(threads),
                                seeds.derive("tuner"));
 

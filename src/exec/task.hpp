@@ -20,6 +20,10 @@
 #include "observability/trace.hpp"
 #include "threading/unique_function.hpp"
 
+namespace stats::replay {
+class ReplaySession;
+}
+
 namespace stats::exec {
 
 /** Virtual cost of one task, reported by the task body itself. */
@@ -128,6 +132,14 @@ class Executor
 
     /** Number of logical hardware threads available. */
     virtual int concurrency() const = 0;
+
+    /**
+     * The record/replay session of the run this executor serves
+     * (nullptr = off). The speculation engine's hooks and the stall
+     * fault read it on whichever thread runs them. Set it before the
+     * first submit; the caller keeps the session alive.
+     */
+    replay::ReplaySession *replaySession = nullptr;
 };
 
 } // namespace stats::exec

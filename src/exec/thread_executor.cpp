@@ -114,13 +114,12 @@ ThreadExecutor::runRecord(TaskRecord *rec, bool cancelled)
         // of the record log, so a stalled recording replays cleanly
         // without the plan (stalls perturb interleaving, not the
         // engine's decision sequence; see docs/REPLAY.md §4).
-        if (replay::sessionEngaged() &&
+        if (replaySession != nullptr && replaySession->faultsActive() &&
             task.tag.kind != obs::TaskKind::None) {
-            auto &session = replay::ReplaySession::current();
-            const double stall = session.taskStallSeconds(
+            const double stall = replaySession->taskStallSeconds(
                 static_cast<int>(task.tag.kind), task.tag.group);
             if (stall > 0.0) {
-                session.countExternalFault(
+                replaySession->countExternalFault(
                     replay::FaultKind::StalledWorker);
                 if (traced) {
                     obs::Trace &trace = obs::Trace::global();

@@ -88,6 +88,13 @@ throwStepBudgetExceeded(const char *tier, const std::string &function)
                              ": step budget exceeded in @" + function);
 }
 
+void
+throwDivisionByZero(const char *tier, const std::string &function)
+{
+    throw ExecutionFault(std::string(tier) + ": division by 0 in @" +
+                         function);
+}
+
 RtValue
 Interpreter::call(const std::string &function,
                   const std::vector<RtValue> &args)
@@ -96,7 +103,7 @@ Interpreter::call(const std::string &function,
         _stepsUsed = 0;
     if (++_depth > 256)
         support::panic("interpreter: call depth exceeded");
-    // Every exit, a StepBudgetExceeded unwind included, puts the depth
+    // Every exit, an ExecutionFault unwind included, puts the depth
     // back, so the next top-level call starts a fresh step count.
     struct DepthGuard
     {
@@ -189,7 +196,7 @@ Interpreter::call(const std::string &function,
                         r = static_cast<std::int64_t>(ux * uy);
                     else {
                         if (y == 0)
-                            support::panic("interpreter: division by 0");
+                            throwDivisionByZero("interpreter", function);
                         // INT64_MIN / -1 overflows (hardware traps);
                         // wrap it to INT64_MIN like the * and +
                         // cases.

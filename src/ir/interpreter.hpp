@@ -24,26 +24,35 @@
 namespace stats::ir {
 
 /**
- * Thrown by both execution tiers when a top-level call runs past its
- * step budget. The budget is set per plan, so exhausting it fails
- * that call and leaves the process (and the module's other callers)
- * running; both tiers restore their call-depth state on the unwind.
+ * A call that failed at run time on either execution tier (an integer
+ * division by zero, or a StepBudgetExceeded). It fails that call and
+ * leaves the process (and the module's other callers) running; both
+ * tiers restore their call-depth state on the unwind.
  */
-class StepBudgetExceeded : public std::runtime_error
+class ExecutionFault : public std::runtime_error
 {
   public:
     using std::runtime_error::runtime_error;
 };
 
+/** A top-level call ran past its (per-plan) step budget. */
+class StepBudgetExceeded : public ExecutionFault
+{
+  public:
+    using ExecutionFault::ExecutionFault;
+};
+
 /**
- * Throw StepBudgetExceeded naming the tier and the function. Kept out
- * of line in another file on purpose: a throw defined next to the
- * VM's dispatch loop changed its register allocation and cost the
- * perfbench serve_heavy workload 15-33% CPU per input (4-core x86
- * host, GCC Release build).
+ * Throw StepBudgetExceeded / a division-by-zero ExecutionFault naming
+ * the tier and the function. Kept out of line in another file on
+ * purpose: a throw defined next to the VM's dispatch loop changed its
+ * register allocation and cost the perfbench serve_heavy workload
+ * 15-33% CPU per input (4-core x86 host, GCC Release build).
  */
 [[noreturn]] void throwStepBudgetExceeded(const char *tier,
                                           const std::string &function);
+[[noreturn]] void throwDivisionByZero(const char *tier,
+                                      const std::string &function);
 
 /** A runtime value: integer or floating. */
 struct RtValue

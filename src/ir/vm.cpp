@@ -39,7 +39,7 @@ std::int64_t
 wrapDiv(std::int64_t x, std::int64_t y, const std::string &fn)
 {
     if (y == 0)
-        support::panic("vm: division by 0 in @", fn);
+        throwDivisionByZero("vm", fn);
     if (x == std::numeric_limits<std::int64_t>::min() && y == -1)
         return x; // Wraps, like the interpreter.
     return x / y;
@@ -319,7 +319,7 @@ Vm::call(const BcFunction &fn, const std::vector<RtValue> &args)
         t_steps = 0;
     if (++t_depth > 256)
         support::panic("vm: call depth exceeded");
-    // Every exit, a StepBudgetExceeded unwind from any depth below
+    // Every exit, an ExecutionFault unwind from any depth below
     // included, puts back the caller's depth and (at top level) drops
     // the frame stack, so the next call on this thread starts clean.
     struct Restore
@@ -474,7 +474,7 @@ Vm::callBatch(const BcFunction &fn, std::size_t lanes,
             VmReg *d = row(inst.a);
             const VmReg *b = row(inst.b);
             const VmReg *c = row(inst.c);
-            // A zero divisor in any lane panics, exactly as each
+            // A zero divisor in any lane throws, exactly as that
             // lane's scalar run would (docs/INTERPRETER.md §5).
             for (std::size_t w = 0; w < lanes; ++w)
                 d[w].i = wrapDiv(b[w].i, c[w].i, fn.name);

@@ -1,6 +1,7 @@
 #include "profiler/profiler.hpp"
 
 #include "observability/metrics.hpp"
+#include "replay/session.hpp"
 #include "support/json.hpp"
 
 namespace stats::profiler {
@@ -38,6 +39,7 @@ Profiler::profile(const tradeoff::Configuration &config)
         request.machine = _machine;
         request.workload = _workload;
         request.workloadSeed = _workloadSeed;
+        request.session = _session;
         const benchmarks::RunResult result = _benchmark.run(request);
         total.seconds += result.virtualSeconds;
         total.energyJoules += result.energyJoules;
@@ -92,8 +94,13 @@ Profiler::objectiveFunction(Objective objective)
 {
     return [this, objective](const tradeoff::Configuration &config) {
         const Measurement m = profile(config);
-        return objective == Objective::Time ? m.seconds
-                                            : m.energyJoules;
+        const double value =
+            objective == Objective::Time ? m.seconds : m.energyJoules;
+        // Mistrain fault: perturb the measured objective before it
+        // reaches the tuner's cache, bandit and techniques, so the
+        // tuner trains on systematically wrong observations.
+        return _session != nullptr ? _session->mistrainObjective(value)
+                                   : value;
     };
 }
 
@@ -102,10 +109,11 @@ tuneBenchmark(benchmarks::Benchmark &benchmark, benchmarks::Mode mode,
               int threads, const sim::MachineConfig &machine,
               Objective objective, int budget, std::uint64_t seed,
               benchmarks::WorkloadKind workload,
-              std::uint64_t workload_seed)
+              std::uint64_t workload_seed, replay::ReplaySession *session)
 {
     Profiler profiler(benchmark, mode, threads, machine, workload,
                       workload_seed);
+    profiler.setReplaySession(session);
     autotuner::Autotuner tuner(benchmark.stateSpace(threads), seed);
     TunedRun run;
     run.tuning =

@@ -73,6 +73,13 @@ class Profiler
      */
     Measurement profile(const tradeoff::Configuration &config);
 
+    /** Replay session of the profiled runs (nullptr = off); its
+     *  mistrain fault perturbs what objectiveFunction() returns. */
+    void setReplaySession(replay::ReplaySession *session)
+    {
+        _session = session;
+    }
+
     /** Objective function for the autotuner. */
     autotuner::Autotuner::Objective
     objectiveFunction(Objective objective);
@@ -108,6 +115,7 @@ class Profiler
     benchmarks::WorkloadKind _workload;
     std::uint64_t _workloadSeed;
     int _repetitions;
+    replay::ReplaySession *_session = nullptr;
     std::vector<double> _oracle;
     std::map<tradeoff::Configuration, Measurement> _cache;
     std::vector<ConfigSnapshot> _snapshots;
@@ -133,6 +141,7 @@ TunedRun tuneBenchmark(benchmarks::Benchmark &benchmark,
                        int budget = 40, std::uint64_t seed = 1,
                        benchmarks::WorkloadKind workload =
                            benchmarks::WorkloadKind::Representative,
-                       std::uint64_t workload_seed = 1);
+                       std::uint64_t workload_seed = 1,
+                       replay::ReplaySession *session = nullptr);
 
 } // namespace stats::profiler

@@ -29,36 +29,6 @@ Divergence::describe() const
     return out.str();
 }
 
-namespace {
-
-// The thread's installed session, if any. Raw pointer: installation
-// is strictly scoped (ScopedSessionInstall), so lifetime is managed
-// by the installer.
-thread_local ReplaySession *tlSession = nullptr;
-
-} // namespace
-
-ReplaySession &
-ReplaySession::global()
-{
-    static ReplaySession session;
-    return session;
-}
-
-ReplaySession &
-ReplaySession::current()
-{
-    return tlSession != nullptr ? *tlSession : global();
-}
-
-ReplaySession *
-ReplaySession::installOnThread(ReplaySession *session)
-{
-    ReplaySession *previous = tlSession;
-    tlSession = session;
-    return previous;
-}
-
 // ---------------------------------------------------------------------
 // Lifecycle
 // ---------------------------------------------------------------------
@@ -70,7 +40,6 @@ ReplaySession::startRecording(std::uint64_t root_seed)
     _log.rootSeed = root_seed;
     _run = 0;
     _epoch = 0;
-    _runOpen = false;
     _cursor = 0;
     _matched = 0;
     _diverged = false;
@@ -103,7 +72,6 @@ ReplaySession::startReplay(RecordLog log)
     _log = std::move(log);
     _run = 0;
     _epoch = 0;
-    _runOpen = false;
     _cursor = 0;
     _matched = 0;
     _diverged = false;
@@ -157,12 +125,6 @@ ReplaySession::setFaultPlan(FaultPlan plan)
 {
     _plan = std::move(plan);
     _faultsActive.store(_plan.active(), std::memory_order_relaxed);
-}
-
-std::uint64_t
-ReplaySession::rootSeed() const
-{
-    return _log.rootSeed;
 }
 
 std::uint64_t
@@ -301,7 +263,6 @@ ReplaySession::engineRunBegin(const RunConfigRecord &config)
     if (!engaged())
         return false;
     _epoch = 0;
-    _runOpen = true;
     return step(RecordKind::RunBegin, -1, 0, 0, encodeConfig(config),
                 nullptr);
 }
@@ -400,7 +361,6 @@ ReplaySession::engineRunEnd(const RunStatsRecord &stats)
         return false;
     const bool diverged = step(RecordKind::RunEnd, -1, 0, 0,
                                encodeStats(stats), nullptr);
-    _runOpen = false;
     ++_run;
     return diverged;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * The process-wide record/replay session (docs/REPLAY.md).
+ * A run's record/replay session (docs/REPLAY.md).
  *
  * Three modes:
  *  - **Off** (default): every hook is a cheap no-op.
@@ -19,17 +19,15 @@
  * decisions *before* they are recorded or compared, so a faulty run
  * records — and replays, under the same plan — exactly.
  *
- * Sessions are **scoped**: every instrumentation site resolves the
- * active session through `ReplaySession::current()`, which returns a
- * thread-locally installed session when one is present and the
- * process-wide `global()` singleton otherwise. Code that wants an
- * isolated record/replay scope (the serving plane runs one per plan)
- * constructs its own ReplaySession and pins it to the executing
- * thread with a `ScopedSessionInstall`; single-run tools (statscc
- * --record/--replay, the oracle, the fuzzer) keep using `global()`
- * unchanged. The engine runs its computation inline on the thread
- * that owns the installation (SimExecutor's timing is virtual), so a
- * thread-local is exactly the right scope.
+ * A session belongs to one run, not to a thread or to the process.
+ * Whoever starts the run owns a ReplaySession and passes its address
+ * down explicitly (nullptr = off): to the executor the run builds
+ * (`exec::Executor::replaySession`), where the speculation
+ * engine's hooks and ThreadExecutor's stall fault read it from
+ * whichever pool worker runs the completion; to a benchmark through
+ * `benchmarks::RunRequest::session`; to the profiler, which applies
+ * mistraining to the objectives it hands the autotuner. Concurrent
+ * runs with distinct sessions never observe each other.
  *
  * Threading contract: *within one session*, mode changes
  * (start/finish/fault-plan setters) are quiescent-time operations —
@@ -37,7 +35,7 @@
  * engine-side hooks are invoked from executor-serialized completion
  * callbacks; the executor-side stall hook may be called concurrently
  * but only reads the (immutable-while-running) plan. Distinct
- * sessions installed on distinct threads are fully independent.
+ * sessions are fully independent.
  */
 
 #pragma once
@@ -101,7 +99,7 @@ struct VerdictOutcome
 /**
  * A record/replay session. All engine hooks are safe to call in any
  * mode; in Off mode with no fault plan they reduce to one relaxed
- * atomic load. Most callers reach the session through `current()`.
+ * atomic load.
  */
 class ReplaySession
 {
@@ -109,18 +107,6 @@ class ReplaySession
     ReplaySession() = default;
     ReplaySession(const ReplaySession &) = delete;
     ReplaySession &operator=(const ReplaySession &) = delete;
-
-    /** The process-wide default session. */
-    static ReplaySession &global();
-
-    /** The session governing this thread: the thread-locally
-     *  installed one if present, else `global()`. */
-    static ReplaySession &current();
-
-    /** Install `session` as this thread's current session (nullptr
-     *  reverts to global()); returns the previous installation.
-     *  Prefer ScopedSessionInstall. */
-    static ReplaySession *installOnThread(ReplaySession *session);
 
     // ------------------------------------------------ lifecycle
     /** Begin recording into a fresh log pinned to `root_seed`. */
@@ -140,7 +126,6 @@ class ReplaySession
 
     /** Install (or clear, with an inactive plan) the fault plan. */
     void setFaultPlan(FaultPlan plan);
-    const FaultPlan &faultPlan() const { return _plan; }
 
     Mode mode() const
     {
@@ -156,11 +141,7 @@ class ReplaySession
         return mode() != Mode::Off || faultsActive();
     }
 
-    /** Root seed of the log being recorded or replayed. */
-    std::uint64_t rootSeed() const;
-
-    /** Replay-so-far state (valid in Replay mode). */
-    bool diverged() const { return _diverged; }
+    /** First divergence so far (valid in Replay mode). */
     const Divergence &firstDivergence() const { return _first; }
 
     /** Injections performed since the session started, per kind. */
@@ -216,7 +197,6 @@ class ReplaySession
     RecordLog _log;
     std::uint32_t _run = 0;      ///< Current engine-run index.
     std::uint32_t _epoch = 0;    ///< Next epoch within the run.
-    bool _runOpen = false;
 
     // Replay state.
     std::size_t _cursor = 0;
@@ -230,37 +210,5 @@ class ReplaySession
     std::atomic<std::uint64_t> _faultCounts[kFaultKindCount] = {};
     std::atomic<std::uint64_t> _mistrainEvaluations{0};
 };
-
-/**
- * RAII: pin `session` to the constructing thread for the object's
- * lifetime, restoring the previous installation (usually none) on
- * destruction. Hooks fired from this thread — and only this thread —
- * route to `session` instead of the global singleton.
- */
-class ScopedSessionInstall
-{
-  public:
-    explicit ScopedSessionInstall(ReplaySession &session)
-        : _previous(ReplaySession::installOnThread(&session))
-    {
-    }
-    ~ScopedSessionInstall()
-    {
-        ReplaySession::installOnThread(_previous);
-    }
-    ScopedSessionInstall(const ScopedSessionInstall &) = delete;
-    ScopedSessionInstall &
-    operator=(const ScopedSessionInstall &) = delete;
-
-  private:
-    ReplaySession *_previous;
-};
-
-/** Cheap per-thread gate for instrumentation sites. */
-inline bool
-sessionEngaged()
-{
-    return ReplaySession::current().engaged();
-}
 
 } // namespace stats::replay

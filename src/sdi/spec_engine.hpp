@@ -175,7 +175,7 @@ class SpecEngine
         // Record/replay: fingerprint the effective run configuration.
         // A replayed log only makes sense against the same setup, so a
         // config skew surfaces as an immediate divergence.
-        if (replay::sessionEngaged()) {
+        if (replay::ReplaySession *session = engagedSession()) {
             replay::RunConfigRecord rc;
             rc.useAuxiliary = _conventional ? 0 : 1;
             rc.groupSize = _config.groupSize;
@@ -185,9 +185,8 @@ class SpecEngine
             rc.sdThreads = _config.sdThreads;
             rc.innerThreads = _config.innerThreads;
             rc.inputCount = static_cast<std::int64_t>(_inputs.size());
-            replayMark(
-                replay::ReplaySession::current().engineRunBegin(rc), 0,
-                0, _inputs.size());
+            replayMark(session->engineRunBegin(rc), 0, 0,
+                       _inputs.size());
         }
 
         // All engine bookkeeping must happen in serialized completion
@@ -210,7 +209,7 @@ class SpecEngine
         // Quiescent point: every completion callback ran, so every
         // task record is dead; recycle the arena blocks.
         _arena.drainEpoch();
-        if (replay::sessionEngaged()) {
+        if (replay::ReplaySession *session = engagedSession()) {
             replay::RunStatsRecord rs;
             rs.validations = _stats.validations;
             rs.mismatches = _stats.mismatches;
@@ -218,9 +217,7 @@ class SpecEngine
             rs.aborts = _stats.aborts;
             rs.squashedGroups = _stats.squashedGroups;
             rs.invocations = _stats.invocations;
-            replayMark(
-                replay::ReplaySession::current().engineRunEnd(rs), 0, 0,
-                _inputs.size());
+            replayMark(session->engineRunEnd(rs), 0, 0, _inputs.size());
         }
         assembleOutputs();
     }
@@ -322,6 +319,15 @@ class SpecEngine
             obs::kFrontierTrack, arg);
     }
 
+    /** The run's replay session when it has work to do, else null. */
+    replay::ReplaySession *
+    engagedSession() const
+    {
+        replay::ReplaySession *session = _executor.replaySession;
+        return session != nullptr && session->engaged() ? session
+                                                        : nullptr;
+    }
+
     /**
      * Surface a replay divergence as a trace instant. The session has
      * no clock, so hooks return "this was the first divergence" and
@@ -337,9 +343,7 @@ class SpecEngine
         traceEvent(obs::EventType::ReplayDivergence, group, input_begin,
                    input_end,
                    static_cast<std::int64_t>(
-                       replay::ReplaySession::current()
-                           .firstDivergence()
-                           .epoch));
+                       _executor.replaySession->firstDivergence().epoch));
     }
 
     void
@@ -482,9 +486,9 @@ class SpecEngine
         // CorruptState fault: hand the group a stale clone of the
         // initial state in place of the aux result, as if the
         // auxiliary code had learned nothing from its window.
-        if (replay::sessionEngaged() &&
-            replay::ReplaySession::current().corruptSpecState(
-                static_cast<std::int32_t>(j))) {
+        replay::ReplaySession *session = engagedSession();
+        if (session != nullptr &&
+            session->corruptSpecState(static_cast<std::int32_t>(j))) {
             g.specStart = _initialState;
             traceEvent(obs::EventType::FaultInjected, j, g.begin,
                        g.end,
@@ -684,9 +688,8 @@ class SpecEngine
             group.originalFinals.push_back(*group.finalState);
             traceEvent(obs::EventType::Commit, j, group.begin,
                        group.end);
-            if (replay::sessionEngaged()) {
-                replayMark(replay::ReplaySession::current().commit(
-                               static_cast<std::int32_t>(j)),
+            if (replay::ReplaySession *session = engagedSession()) {
+                replayMark(session->commit(static_cast<std::int32_t>(j)),
                            j, group.begin, group.end);
             }
             _frontier = j + 1;
@@ -745,9 +748,8 @@ class SpecEngine
         // with a fault-forced mismatch, or with the logged verdict
         // during replay — and the overridden value is what the rest of
         // the engine (and the ValidateMatch/Mismatch events) sees.
-        if (replay::sessionEngaged()) {
-            auto &session = replay::ReplaySession::current();
-            const replay::VerdictOutcome outcome = session.matchVerdict(
+        if (replay::ReplaySession *session = engagedSession()) {
+            const replay::VerdictOutcome outcome = session->matchVerdict(
                 static_cast<std::int32_t>(j), matched);
             if (outcome.faultInjected) {
                 traceEvent(obs::EventType::FaultInjected, j,
@@ -805,10 +807,9 @@ class SpecEngine
         // its checkpoint) before re-executing.
         traceEvent(obs::EventType::Rollback, p, producer.checkpointPos,
                    producer.end, producer.reexecsDone);
-        if (replay::sessionEngaged()) {
-            replayMark(replay::ReplaySession::current().reexecution(
-                           static_cast<std::int32_t>(p),
-                           producer.reexecsDone),
+        if (replay::ReplaySession *session = engagedSession()) {
+            replayMark(session->reexecution(static_cast<std::int32_t>(p),
+                                            producer.reexecsDone),
                        p, producer.checkpointPos, producer.end);
         }
 
@@ -860,8 +861,9 @@ class SpecEngine
         ++_stats.aborts;
         traceEvent(obs::EventType::Abort, j, _groups[j].begin,
                    _inputs.size(), static_cast<std::int64_t>(j));
-        if (replay::sessionEngaged()) {
-            replayMark(replay::ReplaySession::current().abortSpeculation(
+        replay::ReplaySession *session = engagedSession();
+        if (session != nullptr) {
+            replayMark(session->abortSpeculation(
                            static_cast<std::int32_t>(j)),
                        j, _groups[j].begin, _inputs.size());
         }
@@ -874,11 +876,10 @@ class SpecEngine
                 traceEvent(obs::EventType::Squash, g, _groups[g].begin,
                            _groups[g].end,
                            static_cast<std::int64_t>(j));
-                if (replay::sessionEngaged()) {
+                if (session != nullptr) {
                     replayMark(
-                        replay::ReplaySession::current().squash(
-                            static_cast<std::int32_t>(g),
-                            static_cast<std::int32_t>(j)),
+                        session->squash(static_cast<std::int32_t>(g),
+                                        static_cast<std::int32_t>(j)),
                         g, _groups[g].begin, _groups[g].end);
                 }
             }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "backend/backend.hpp"
@@ -94,27 +93,24 @@ interpStep(ir::ExecutableModule &exec, const std::string &function,
 
 /**
  * RAII per-run record/replay scope. Owns a *private* ReplaySession —
- * engine, RecordLog, fault plan, and seed streams scoped to this one
- * plan execution — and pins it to the constructing thread, so hooks
- * fired while the plan runs route here instead of the process-global
- * session. Concurrent plans on other worker threads each carry their
- * own scope and never observe each other's mode flips. The captured
- * log is harvested into the PlanResult on destruction.
+ * RecordLog and fault plan scoped to this one plan execution — which
+ * session() hands to the run's executor. Concurrent plans each carry
+ * their own scope and never observe each other's mode flips. The
+ * captured log is harvested into the PlanResult on destruction.
  *
- * A plan that neither records nor injects faults installs nothing
- * and runs under the thread's ambient session — which lets a caller
- * replay a served log by putting its own session into Replay mode
- * around runPlan (RunnerTest pins this).
+ * A plan that neither records nor injects faults runs under the
+ * caller's session instead (runPlan's `session`, usually none) —
+ * which lets a caller replay a served log (RunnerTest pins this).
  */
 class RecordScope
 {
   public:
     RecordScope(const ExecutionPlan &plan, PlanResult &result,
-                std::string &error)
-        : _result(result)
+                std::string &error, replay::ReplaySession *caller)
+        : _result(result),
+          _active(plan.recordChoices || !plan.faults.empty() ? &_session
+                                                             : caller)
     {
-        if (plan.recordChoices || !plan.faults.empty())
-            _install.emplace(_session);
         if (!plan.faults.empty()) {
             std::string fault_error;
             auto fault_plan =
@@ -138,8 +134,8 @@ class RecordScope
 
     bool armed() const { return _armed; }
 
-    /** The scoped session (for extra metadata). */
-    replay::ReplaySession &session() { return _session; }
+    /** The session the plan runs under (nullptr = off). */
+    replay::ReplaySession *session() const { return _active; }
 
     ~RecordScope()
     {
@@ -151,7 +147,7 @@ class RecordScope
   private:
     PlanResult &_result;
     replay::ReplaySession _session;
-    std::optional<replay::ScopedSessionInstall> _install;
+    replay::ReplaySession *_active;
     bool _recording = false;
     bool _armed = false;
 };
@@ -322,8 +318,8 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
         longest = std::max(longest, plan.inputs);
     }
 
-    // A lane whose call runs past the step budget fails with that
-    // message and drops out; the other lanes go on.
+    // A lane whose call faults (step budget, division by zero) fails
+    // with that message and drops out; the other lanes go on.
     std::vector<std::string> failed(lanes);
     std::vector<ir::RtValue> in_col, state_col, stepped;
     std::vector<std::size_t> live;
@@ -348,12 +344,10 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
         try {
             batched = exec.callBatch(fn, live.size(), columns,
                                      stepped.data());
-        } catch (const ir::StepBudgetExceeded &overrun) {
-            // Every lane runs the same straight-line code and is
-            // charged its own steps, so all of them ran out together.
-            for (const std::size_t l : live)
-                failed[l] = overrun.what();
-            continue;
+        } catch (const ir::ExecutionFault &) {
+            // The fault does not say which lane raised it; the scalar
+            // calls below find out (lanes are pure functions of their
+            // inputs, so re-running them is safe).
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
             const std::size_t l = live[i];
@@ -361,8 +355,8 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
                 try {
                     stepped[i] = ir::RtValue::ofInt(interpStep(
                         exec, fn, in_col[i].i, state_col[i].i));
-                } catch (const ir::StepBudgetExceeded &overrun) {
-                    failed[l] = overrun.what();
+                } catch (const ir::ExecutionFault &fault) {
+                    failed[l] = fault.what();
                     continue;
                 }
             }
@@ -397,7 +391,7 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
             std::string record_error;
             {
                 RecordScope scope(*batch[l].plan, scratch,
-                                  record_error);
+                                  record_error, nullptr);
             } // ~RecordScope fills scratch.recordLog
             results[l].recordLog = std::move(scratch.recordLog);
         }
@@ -406,7 +400,8 @@ PlanRunner::runBatch(const std::vector<QueuedPlan> &batch)
 }
 
 PlanResult
-PlanRunner::runSpeculative(const ExecutionPlan &plan)
+PlanRunner::runSpeculative(const ExecutionPlan &plan,
+                           replay::ReplaySession *session)
 {
     PlanResult result;
     std::string error;
@@ -432,9 +427,9 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
     auto counters = std::make_shared<std::vector<std::atomic<int>>>(
         inputs.size());
 
-    // The first call to run past the step budget fails the plan; the
-    // engine still runs to its end, but no later call enters the
-    // module.
+    // The first call to fault (step budget, division by zero) fails
+    // the plan; the engine still runs to its end, but no later call
+    // enters the module.
     std::string exhausted;
     const auto step = [&exec, &exhausted](const std::string &fn,
                                           long long input,
@@ -443,8 +438,8 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
             return state;
         try {
             return interpStep(exec, fn, input, state);
-        } catch (const ir::StepBudgetExceeded &overrun) {
-            exhausted = overrun.what();
+        } catch (const ir::ExecutionFault &fault) {
+            exhausted = fault.what();
             return state;
         }
     };
@@ -486,7 +481,7 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
         return -1;
     };
 
-    RecordScope scope(plan, result, error);
+    RecordScope scope(plan, result, error, session);
     if (!scope.armed()) {
         result.error = error;
         return result;
@@ -496,6 +491,7 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
     machine.dispatchOverhead = 0.0;
     exec::SimExecutor executor(
         machine, std::max(16, plan.limits.sdThreads));
+    executor.replaySession = scope.session();
     Engine engine(executor, inputs, (long long)plan.initialState,
                   compute, auxiliary, matcher, plan.limits);
     engine.start();
@@ -517,7 +513,8 @@ PlanRunner::runSpeculative(const ExecutionPlan &plan)
 }
 
 PlanResult
-PlanRunner::runBenchmark(const ExecutionPlan &plan)
+PlanRunner::runBenchmark(const ExecutionPlan &plan,
+                         replay::ReplaySession *session)
 {
     PlanResult result;
     auto bench = benchmarks::createBenchmark(plan.moduleRef);
@@ -540,18 +537,19 @@ PlanRunner::runBenchmark(const ExecutionPlan &plan)
     request.runSeed = seeds.derive("run");
 
     std::string error;
-    RecordScope scope(plan, result, error);
+    RecordScope scope(plan, result, error, session);
     if (!scope.armed()) {
         result.error = error;
         return result;
     }
+    request.session = scope.session();
     if (plan.recordChoices) {
-        auto &session = scope.session();
-        session.setMetadata("benchmark", bench->name());
-        session.setMetadata("mode", plan.benchMode);
-        session.setMetadata("threads",
-                            std::to_string(plan.benchThreads));
-        session.setMetadata("workload", plan.benchWorkload);
+        replay::ReplaySession &recording = *scope.session();
+        recording.setMetadata("benchmark", bench->name());
+        recording.setMetadata("mode", plan.benchMode);
+        recording.setMetadata("threads",
+                              std::to_string(plan.benchThreads));
+        recording.setMetadata("workload", plan.benchWorkload);
     }
 
     const benchmarks::RunResult run = bench->run(request);
@@ -564,12 +562,13 @@ PlanRunner::runBenchmark(const ExecutionPlan &plan)
 }
 
 PlanResult
-PlanRunner::runPlan(const ExecutionPlan &plan)
+PlanRunner::runPlan(const ExecutionPlan &plan,
+                    replay::ReplaySession *session)
 {
     switch (plan.kind) {
       case JobKind::IrSequential:  return runSequential(plan);
-      case JobKind::IrSpeculative: return runSpeculative(plan);
-      case JobKind::Benchmark:     return runBenchmark(plan);
+      case JobKind::IrSpeculative: return runSpeculative(plan, session);
+      case JobKind::Benchmark:     return runBenchmark(plan, session);
     }
     PlanResult result;
     result.error = "unknown job kind";

@@ -32,8 +32,9 @@
  *
  * Threading contract: `runPlan`/`runBatch` are safe to call from any
  * number of server worker threads concurrently. Record/replay state
- * is scoped per run — each execution installs its own thread-local
- * ReplaySession (RecordScope), so no global mode flips occur.
+ * is scoped per run — a recording or faulted execution owns its
+ * ReplaySession (RecordScope) and hands it to the run's executor, so
+ * no shared mode flips occur.
  */
 
 #pragma once
@@ -49,6 +50,10 @@
 #include "sdi/spec_config.hpp"
 #include "serving/execution_plan.hpp"
 #include "serving/scheduler.hpp"
+
+namespace stats::replay {
+class ReplaySession;
+}
 
 namespace stats::serving {
 
@@ -82,8 +87,14 @@ struct PlanResult
 class PlanRunner
 {
   public:
-    /** Execute one plan (any kind). */
-    PlanResult runPlan(const ExecutionPlan &plan);
+    /**
+     * Execute one plan (any kind). A plan that records or injects
+     * faults runs under its own session; any other engine run goes
+     * under `session` (nullptr = off), so a caller can replay a
+     * served log.
+     */
+    PlanResult runPlan(const ExecutionPlan &plan,
+                       replay::ReplaySession *session = nullptr);
 
     /**
      * Execute a dispatch unit from the scheduler: one plan, or
@@ -111,8 +122,10 @@ class PlanRunner
     std::shared_ptr<Compiled> compiled(const ExecutionPlan &plan,
                                        std::string &error);
     PlanResult runSequential(const ExecutionPlan &plan);
-    PlanResult runSpeculative(const ExecutionPlan &plan);
-    PlanResult runBenchmark(const ExecutionPlan &plan);
+    PlanResult runSpeculative(const ExecutionPlan &plan,
+                              replay::ReplaySession *session);
+    PlanResult runBenchmark(const ExecutionPlan &plan,
+                            replay::ReplaySession *session);
 
     mutable std::mutex _cacheMutex;
     std::map<std::uint64_t, std::shared_ptr<Compiled>> _cache;

@@ -105,11 +105,13 @@ makeMatcher(MatcherKind kind)
     };
 }
 
-/** Execute the instantiated dependence on the speculation engine. */
+/** Execute the instantiated dependence on the speculation engine,
+ *  under `session` (nullptr = off). */
 EngineRun
 runEngine(ir::ExecutableModule &exec, const std::string &compute_fn,
           const std::string &aux_fn, const Scenario &scenario,
-          const std::vector<In> &inputs, int sim_threads)
+          const std::vector<In> &inputs, int sim_threads,
+          replay::ReplaySession *session)
 {
     // Per-position invocation counters give each (position, attempt)
     // pair its own noise draw. Plain engine runs touch them only from
@@ -206,6 +208,7 @@ runEngine(ir::ExecutableModule &exec, const std::string &compute_fn,
     sim::MachineConfig machine;
     machine.dispatchOverhead = 0.0;
     exec::SimExecutor executor(machine, sim_threads);
+    executor.replaySession = session;
     Engine engine(executor, inputs,
                   (long long)scenario.initialState, compute, auxiliary,
                   makeMatcher(scenario.matcher), scenario.config);
@@ -501,8 +504,9 @@ runOracle(const FuzzCase &fuzz_case, const OracleOptions &options)
 
     // ---- speculative run (clean) ----
     result.stage = "speculative";
-    EngineRun clean = runEngine(exec, compute_fn, aux_fn,
-                                scenario, inputs, options.simThreads);
+    EngineRun clean =
+        runEngine(exec, compute_fn, aux_fn, scenario, inputs,
+                  options.simThreads, options.session);
     result.cleanStats = clean.stats;
     if (auto error = checkShape(clean.outputs, inputs); !error.empty())
         return fail("speculative", "output-order", error);
@@ -531,11 +535,15 @@ runOracle(const FuzzCase &fuzz_case, const OracleOptions &options)
         }
         result.stage = "faulted";
         result.faulted = true;
-        auto &session = replay::ReplaySession::global();
+        // The caller's session (a repro capture records both runs),
+        // else a private one.
+        replay::ReplaySession own;
+        replay::ReplaySession &session =
+            options.session != nullptr ? *options.session : own;
         session.setFaultPlan(*plan);
         EngineRun faulted = runEngine(exec, compute_fn, aux_fn,
                                       scenario, inputs,
-                                      options.simThreads);
+                                      options.simThreads, &session);
         session.setFaultPlan(replay::FaultPlan{});
         result.faultStats = faulted.stats;
         if (auto error = checkShape(faulted.outputs, inputs);

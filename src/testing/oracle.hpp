@@ -38,6 +38,10 @@
 #include "sdi/spec_config.hpp"
 #include "testing/fuzz_case.hpp"
 
+namespace stats::replay {
+class ReplaySession;
+}
+
 namespace stats::testing {
 
 struct OracleOptions
@@ -59,6 +63,9 @@ struct OracleOptions
 
     /** Honor the scenario's fault plan with a second engine run. */
     bool faultRun = true;
+
+    /** Record/replay session of both engine runs (nullptr = off). */
+    replay::ReplaySession *session = nullptr;
 };
 
 struct OracleResult

@@ -396,9 +396,21 @@ entry:
     ir::ExecutableModule exec(module, ir::ExecTier::Bytecode);
     EXPECT_EQ(exec.call("div", {RtValue::ofInt(7), RtValue::ofInt(2)}).i,
               3);
-    EXPECT_DEATH(
-        exec.call("div", {RtValue::ofInt(7), RtValue::ofInt(0)}),
-        "division by 0");
+    // A zero divisor throws, naming the division.
+    EXPECT_THROW(
+        {
+            try {
+                exec.call("div", {RtValue::ofInt(7), RtValue::ofInt(0)});
+            } catch (const ir::ExecutionFault &fault) {
+                EXPECT_NE(std::string(fault.what()).find("division by 0"),
+                          std::string::npos);
+                throw;
+            }
+        },
+        ir::ExecutionFault);
+    // The unwind left the thread's call state clean.
+    EXPECT_EQ(exec.call("div", {RtValue::ofInt(9), RtValue::ofInt(3)}).i,
+              3);
 }
 
 TEST(BytecodeVmDeath, TierBytecodePanicsOnFallbackFunctions)

@@ -222,16 +222,17 @@ TEST(CommitLaneStress, MismatchStormsPreserveCommitOrder)
         }
     }
 
-    auto &session = replay::ReplaySession::global();
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         std::string error;
         const auto plan = replay::FaultPlan::parse(
             "seed=" + std::to_string(seed) + ";storm=0.3", error);
         ASSERT_TRUE(plan.has_value()) << error;
+        replay::ReplaySession session;
         session.setFaultPlan(*plan);
         obs::Trace::global().enable();
 
         exec::ThreadExecutor ex(8);
+        ex.replaySession = &session;
         sdi::SpecConfig config;
         config.groupSize = 5;
         config.auxWindow = 1;
@@ -283,7 +284,6 @@ TEST(CommitLaneStress, MismatchStormsPreserveCommitOrder)
 
         obs::Trace::global().disable();
         obs::Trace::global().clear();
-        session.setFaultPlan(replay::FaultPlan{});
     }
 }
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "support/bytes.hpp"
 #include "support/rng.hpp"
 #include "support/seed_sequence.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace {
 
@@ -383,40 +385,16 @@ struct ToyOutput
 
 using Engine = sdi::SpecEngine<int, ToyState, ToyOutput>;
 
-/** Noise by (input position, attempt number); default 0. */
-class NoiseModel
-{
-  public:
-    void
-    set(int input, int attempt, long long noise)
-    {
-        _noise[{input, attempt}] = noise;
-    }
-
-    long long
-    next(int input)
-    {
-        const int attempt = _attempts[input]++;
-        auto it = _noise.find({input, attempt});
-        return it == _noise.end() ? 0 : it->second;
-    }
-
-  private:
-    std::map<std::pair<int, int>, long long> _noise;
-    std::map<int, int> _attempts;
-};
-
+/** The toy dependence: state = 10 * input, deterministic. */
 Engine::ComputeFn
-makeCompute(std::shared_ptr<NoiseModel> noise)
+makeCompute()
 {
-    return [noise](const int &input, ToyState &state,
-                   const sdi::ComputeContext &ctx) -> Engine::Invocation {
+    return [](const int &input, ToyState &state,
+              const sdi::ComputeContext &) -> Engine::Invocation {
         auto out = std::make_unique<ToyOutput>();
         out->observedPriorState = state.v;
         out->input = input;
-        const long long n =
-            (!ctx.auxiliary && noise) ? noise->next(input) : 0;
-        state.v = static_cast<long long>(input) * 10 + n;
+        state.v = static_cast<long long>(input) * 10;
         return {std::move(out), exec::Work{0.001, 0.0}};
     };
 }
@@ -462,52 +440,41 @@ toyConfig()
     return config;
 }
 
-/** Run the toy engine once on the simulator; return its stats. */
-sdi::EngineStats
-runToyEngine(const std::vector<int> &inputs,
-             std::shared_ptr<NoiseModel> noise = nullptr,
-             std::vector<long long> *outputs = nullptr)
-{
-    exec::SimExecutor ex(simMachine(), 8);
-    Engine engine(ex, inputs, ToyState{}, makeCompute(std::move(noise)),
-                  makeCompute(nullptr), exactAnyMatcher(), toyConfig());
-    engine.start();
-    engine.join();
-    if (outputs) {
-        outputs->clear();
-        for (const auto &out : engine.outputs())
-            outputs->push_back(out->observedPriorState);
-    }
-    return engine.stats();
-}
-
 /**
- * Fixture guaranteeing the global session is quiet before and after
- * each test (the session is process-global; leaked state would bleed
- * between tests).
+ * Fixture owning the session the toy runs record into, replay from,
+ * or take faults from.
  */
 class ReplaySessionTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
+    /** Run the toy engine once on `ex` under the fixture's session;
+     *  return its stats. */
+    sdi::EngineStats
+    runToyEngine(exec::Executor &ex, const std::vector<int> &inputs,
+                 std::vector<long long> *outputs = nullptr,
+                 replay::ReplaySession *run_session = nullptr)
     {
-        auto &session = replay::ReplaySession::global();
-        ASSERT_EQ(session.mode(), replay::Mode::Off);
-        session.setFaultPlan(replay::FaultPlan{});
-        ASSERT_FALSE(session.engaged());
+        ex.replaySession = run_session != nullptr ? run_session : &session;
+        Engine engine(ex, inputs, ToyState{}, makeCompute(),
+                      makeCompute(), exactAnyMatcher(),
+                      toyConfig());
+        engine.start();
+        engine.join();
+        if (outputs) {
+            outputs->clear();
+            for (const auto &out : engine.outputs())
+                outputs->push_back(out->observedPriorState);
+        }
+        return engine.stats();
     }
 
-    void
-    TearDown() override
+    /** The same, on the simulator. */
+    sdi::EngineStats
+    runToyEngine(const std::vector<int> &inputs,
+                 std::vector<long long> *outputs = nullptr)
     {
-        auto &session = replay::ReplaySession::global();
-        if (session.mode() == replay::Mode::Record)
-            (void)session.finishRecording();
-        if (session.mode() == replay::Mode::Replay)
-            (void)session.finishReplay();
-        session.setFaultPlan(replay::FaultPlan{});
-        obs::Trace::global().disable();
+        exec::SimExecutor ex(simMachine(), 8);
+        return runToyEngine(ex, inputs, outputs);
     }
 
     /** Record one toy-engine run and return its log. */
@@ -515,11 +482,12 @@ class ReplaySessionTest : public ::testing::Test
     recordToyRun(const std::vector<int> &inputs,
                  std::vector<long long> *outputs = nullptr)
     {
-        auto &session = replay::ReplaySession::global();
         session.startRecording(/* root seed */ 77);
-        (void)runToyEngine(inputs, nullptr, outputs);
+        (void)runToyEngine(inputs, outputs);
         return session.finishRecording();
     }
+
+    replay::ReplaySession session;
 };
 
 // =====================================================================
@@ -558,10 +526,9 @@ TEST_F(ReplaySessionTest, CleanReplayMatchesEverything)
         recordToyRun(makeInputs(20), &recorded_outputs);
     const std::size_t total = log.records.size();
 
-    auto &session = replay::ReplaySession::global();
     std::vector<long long> replayed_outputs;
     session.startReplay(log);
-    (void)runToyEngine(makeInputs(20), nullptr, &replayed_outputs);
+    (void)runToyEngine(makeInputs(20), &replayed_outputs);
     const replay::ReplayReport report = session.finishReplay();
 
     EXPECT_FALSE(report.diverged) << report.first.describe();
@@ -593,7 +560,6 @@ TEST_F(ReplaySessionTest, FlippedVerdictIsReportedAsValueDivergence)
     }
     ASSERT_GT(flipped, 0u);
 
-    auto &session = replay::ReplaySession::global();
     session.startReplay(log);
     (void)runToyEngine(makeInputs(20));
     const replay::ReplayReport report = session.finishReplay();
@@ -618,7 +584,6 @@ TEST_F(ReplaySessionTest, ForcedVerdictKeepsReplayOnTheRecordedPath)
     // without the plan. The verdict diverges (computed 0, logged -1)
     // but replay forces the logged value, so the replayed engine
     // still aborts exactly like the recording did.
-    auto &session = replay::ReplaySession::global();
     std::string error;
     const auto plan =
         replay::FaultPlan::parse("mismatch@g2", error);
@@ -655,7 +620,6 @@ TEST_F(ReplaySessionTest, StructuralDivergenceStopsConsumingTheLog)
         }
     }
 
-    auto &session = replay::ReplaySession::global();
     session.startReplay(log);
     (void)runToyEngine(makeInputs(20));
     const replay::ReplayReport report = session.finishReplay();
@@ -671,7 +635,6 @@ TEST_F(ReplaySessionTest, TruncatedLogDivergesWhenRecordsRemain)
     // Replaying a 24-input log against a 20-input run: the log
     // expects more records than the execution produces.
     const replay::RecordLog log = recordToyRun(makeInputs(24));
-    auto &session = replay::ReplaySession::global();
     session.startReplay(log);
     (void)runToyEngine(makeInputs(20));
     const replay::ReplayReport report = session.finishReplay();
@@ -680,7 +643,6 @@ TEST_F(ReplaySessionTest, TruncatedLogDivergesWhenRecordsRemain)
 
 TEST_F(ReplaySessionTest, FaultedRecordingReplaysExactlyUnderSamePlan)
 {
-    auto &session = replay::ReplaySession::global();
     std::string error;
     const auto plan = replay::FaultPlan::parse(
         "mismatch@g2; corrupt@g4; seed=5", error);
@@ -713,22 +675,17 @@ TEST_F(ReplaySessionTest, FaultedRecordingReplaysExactlyUnderSamePlan)
 
 TEST_F(ReplaySessionTest, CorruptStateFaultForcesMismatch)
 {
-    auto &session = replay::ReplaySession::global();
     std::string error;
     const auto plan = replay::FaultPlan::parse("corrupt@g1", error);
     ASSERT_TRUE(plan.has_value()) << error;
 
-    const std::uint64_t before =
-        session.faultCount(replay::FaultKind::CorruptState);
     session.setFaultPlan(*plan);
     const sdi::EngineStats stats = runToyEngine(makeInputs(20));
-    session.setFaultPlan(replay::FaultPlan{});
 
     // The stale state cannot match any original final, so group 1's
     // validation mismatches and the producer re-executes.
     EXPECT_GE(stats.mismatches, 1);
-    EXPECT_EQ(session.faultCount(replay::FaultKind::CorruptState),
-              before + 1);
+    EXPECT_EQ(session.faultCount(replay::FaultKind::CorruptState), 1u);
 }
 
 // =====================================================================
@@ -739,7 +696,6 @@ TEST_F(ReplaySessionTest, EngineStatsReconcileWithTraceAcrossAbort)
 {
     if (!STATS_OBS_ENABLED)
         GTEST_SKIP() << "tracing compiled out (STATS_OBS_DISABLE)";
-    auto &session = replay::ReplaySession::global();
     std::string error;
     // maxReexecutions = 1, so two forced mismatches of group 2 abort.
     const auto plan = replay::FaultPlan::parse("mismatch@g2", error);
@@ -750,7 +706,6 @@ TEST_F(ReplaySessionTest, EngineStatsReconcileWithTraceAcrossAbort)
     const sdi::EngineStats stats = runToyEngine(makeInputs(32));
     const auto events = obs::Trace::global().collect();
     obs::Trace::global().disable();
-    session.setFaultPlan(replay::FaultPlan{});
 
     ASSERT_EQ(stats.aborts, 1);
 
@@ -777,38 +732,120 @@ TEST_F(ReplaySessionTest, EngineStatsReconcileWithTraceAcrossAbort)
 }
 
 // =====================================================================
-// Stalled-worker faults on the real thread pool
+// Sessions on the real thread pool
 // =====================================================================
+
+std::map<replay::RecordKind, int>
+kindCounts(const replay::RecordLog &log)
+{
+    std::map<replay::RecordKind, int> counts;
+    for (const auto &record : log.records)
+        ++counts[record.kind];
+    return counts;
+}
+
+TEST_F(ReplaySessionTest, ThreadExecutorRecordsEveryChoicePoint)
+{
+    // The completion callbacks that validate and commit run on pool
+    // workers, not on the thread that started the engine; the
+    // recording must still hold every record the simulator's does.
+    const replay::RecordLog simulated = recordToyRun(makeInputs(24));
+    ASSERT_EQ(simulated.records.size(), 13u);
+
+    exec::ThreadExecutor ex(4);
+    session.startRecording(77);
+    (void)runToyEngine(ex, makeInputs(24));
+    const replay::RecordLog threaded = session.finishRecording();
+    EXPECT_EQ(kindCounts(threaded), kindCounts(simulated));
+}
 
 TEST_F(ReplaySessionTest, StalledWorkersDelayButDoNotCorrupt)
 {
-    auto &session = replay::ReplaySession::global();
     std::string error;
     const auto plan =
         replay::FaultPlan::parse("stall=200us; stallp=0.5", error);
     ASSERT_TRUE(plan.has_value()) << error;
     session.setFaultPlan(*plan);
 
-    const std::uint64_t before =
-        session.faultCount(replay::FaultKind::StalledWorker);
     const auto inputs = makeInputs(24);
     exec::ThreadExecutor ex(4);
-    Engine engine(ex, inputs, ToyState{}, makeCompute(nullptr),
-                  makeCompute(nullptr), exactAnyMatcher(), toyConfig());
-    engine.start();
-    engine.join();
-    session.setFaultPlan(replay::FaultPlan{});
+    std::vector<long long> outputs;
+    (void)runToyEngine(ex, inputs, &outputs);
 
     // Outputs stay correct under the induced timing chaos...
-    ASSERT_EQ(engine.outputs().size(), inputs.size());
+    ASSERT_EQ(outputs.size(), inputs.size());
     long long prior = 0;
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-        EXPECT_EQ(engine.outputs()[i]->observedPriorState, prior);
+        EXPECT_EQ(outputs[i], prior);
         prior = static_cast<long long>(inputs[i]) * 10;
     }
     // ...and some tasks really were stalled (p=0.5 over ~11 tasks).
-    EXPECT_GT(session.faultCount(replay::FaultKind::StalledWorker),
-              before);
+    EXPECT_GT(session.faultCount(replay::FaultKind::StalledWorker), 0u);
+}
+
+TEST_F(ReplaySessionTest, StallFaultsFollowTheExecutorsSession)
+{
+    // Two runs share the pool's workers at once; the executor given
+    // the stalling session stalls every tagged task of its run (5 aux
+    // + 6 body tasks), whichever worker runs it.
+    std::string error;
+    const auto plan = replay::FaultPlan::parse("stall=100us", error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    replay::ReplaySession stalling;
+    stalling.setFaultPlan(*plan);
+
+    threading::ThreadPool &pool = threading::ThreadPool::shared(4);
+    std::thread other([&] {
+        exec::ThreadExecutor ex(pool);
+        (void)runToyEngine(ex, makeInputs(24), nullptr, &stalling);
+    });
+    exec::ThreadExecutor ex(pool);
+    (void)runToyEngine(ex, makeInputs(24));
+    other.join();
+
+    EXPECT_EQ(stalling.faultCount(replay::FaultKind::StalledWorker),
+              11u);
+}
+
+TEST_F(ReplaySessionTest, ConcurrentRecordingsOnASharedPoolStayApart)
+{
+    // Two threads record different toy runs at once on the shared
+    // pool, each into its own session: each log holds exactly its own
+    // run's records.
+    const replay::RecordLog solo_short = recordToyRun(makeInputs(20));
+    const replay::RecordLog solo_long = recordToyRun(makeInputs(36));
+    ASSERT_NE(kindCounts(solo_short), kindCounts(solo_long));
+
+    threading::ThreadPool &pool = threading::ThreadPool::shared(4);
+    for (int round = 0; round < 4; ++round) {
+        replay::ReplaySession short_session;
+        replay::ReplaySession long_session;
+        short_session.startRecording(77);
+        long_session.startRecording(77);
+        std::thread other([&] {
+            exec::ThreadExecutor ex(pool);
+            (void)runToyEngine(ex, makeInputs(36), nullptr,
+                               &long_session);
+        });
+        exec::ThreadExecutor ex(pool);
+        (void)runToyEngine(ex, makeInputs(20), nullptr, &short_session);
+        other.join();
+        const replay::RecordLog short_log =
+            short_session.finishRecording();
+        const replay::RecordLog long_log = long_session.finishRecording();
+
+        EXPECT_EQ(kindCounts(short_log), kindCounts(solo_short))
+            << "round " << round;
+        EXPECT_EQ(kindCounts(long_log), kindCounts(solo_long))
+            << "round " << round;
+        // RunBegin fingerprints the run's own configuration.
+        ASSERT_FALSE(short_log.records.empty());
+        ASSERT_FALSE(long_log.records.empty());
+        EXPECT_EQ(short_log.records.front().payload,
+                  solo_short.records.front().payload);
+        EXPECT_EQ(long_log.records.front().payload,
+                  solo_long.records.front().payload);
+    }
 }
 
 // =====================================================================
@@ -817,7 +854,6 @@ TEST_F(ReplaySessionTest, StalledWorkersDelayButDoNotCorrupt)
 
 TEST_F(ReplaySessionTest, MistrainPerturbsObjectivesDeterministically)
 {
-    auto &session = replay::ReplaySession::global();
     EXPECT_DOUBLE_EQ(session.mistrainObjective(10.0), 10.0);
 
     std::string error;
@@ -826,8 +862,6 @@ TEST_F(ReplaySessionTest, MistrainPerturbsObjectivesDeterministically)
     ASSERT_TRUE(plan.has_value()) << error;
     session.setFaultPlan(*plan);
 
-    const std::uint64_t before =
-        session.faultCount(replay::FaultKind::Mistrain);
     bool perturbed = false;
     for (int i = 0; i < 8; ++i) {
         const double value = session.mistrainObjective(10.0);
@@ -836,9 +870,7 @@ TEST_F(ReplaySessionTest, MistrainPerturbsObjectivesDeterministically)
         perturbed = perturbed || value != 10.0;
     }
     EXPECT_TRUE(perturbed);
-    EXPECT_EQ(session.faultCount(replay::FaultKind::Mistrain),
-              before + 8);
-    session.setFaultPlan(replay::FaultPlan{});
+    EXPECT_EQ(session.faultCount(replay::FaultKind::Mistrain), 8u);
 }
 
 // =====================================================================
@@ -865,7 +897,6 @@ readRepoFile(const std::string &relative)
  */
 TEST_F(ReplaySessionTest, FaultedRecordingMatchesTheGoldenLog)
 {
-    auto &session = replay::ReplaySession::global();
     std::string error;
     const auto plan = replay::FaultPlan::parse(
         "mismatch@g2; corrupt@g4; seed=5", error);

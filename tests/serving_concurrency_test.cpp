@@ -159,7 +159,7 @@ TEST(ServingConcurrencyTest, MultiWorkerMatchesSingleWorkerByteForByte)
         EXPECT_EQ(a.result.invocations, b.result.invocations)
             << "plan " << i;
         // Replay-fetch output must match too: recording under four
-        // concurrent scoped sessions cannot bleed across runs.
+        // concurrent per-plan sessions cannot bleed across runs.
         EXPECT_EQ(wide.replayLog(wide_ids[i]),
                   narrow.replayLog(narrow_ids[i]))
             << "plan " << i;
@@ -221,8 +221,8 @@ TEST(ServingConcurrencyTest, CacheHitMatchesRecomputeByteForByte)
 TEST(ServingConcurrencyTest, ConcurrentlyRecordedLogsReplayCleanly)
 {
     // Twelve speculative plans recorded on four workers at once, then
-    // each log replayed — concurrently, under scoped sessions — with
-    // zero divergence against a fresh local run.
+    // each log replayed — concurrently, each under its own session —
+    // with zero divergence against a fresh local run.
     Server server(workerOptions(4, 0));
     std::vector<ExecutionPlan> plans;
     for (std::uint64_t seed = 500; seed < 512; ++seed) {
@@ -254,9 +254,8 @@ TEST(ServingConcurrencyTest, ConcurrentlyRecordedLogsReplayCleanly)
                 ExecutionPlan again = plans[i];
                 again.recordChoices = false;
                 replay::ReplaySession session;
-                replay::ScopedSessionInstall install(session);
                 session.startReplay(*log);
-                const PlanResult rerun = runner.runPlan(again);
+                const PlanResult rerun = runner.runPlan(again, &session);
                 const auto report = session.finishReplay();
                 if (!rerun.ok || report.diverged ||
                     report.recordsMatched != log->records.size() ||

@@ -90,6 +90,22 @@ const char *const kLoopModule =
     "  ret i64 %out\n"
     "}\n";
 
+/**
+ * Divides (state - 3) by itself and adds the quotient (1) to the
+ * state: a state that starts at 3, or climbs to it, divides by zero.
+ */
+const char *const kDivModule =
+    "module \"serving_div\"\n"
+    "statedep SD0 compute=@computeOutput\n"
+    "\n"
+    "func @computeOutput(i64 %input, i64 %state) -> i64 {\n"
+    "entry:\n"
+    "  %d = sub i64 %state, 3\n"
+    "  %one = div i64 %d, %d\n"
+    "  %out = add i64 %state, %one\n"
+    "  ret i64 %out\n"
+    "}\n";
+
 std::string
 readFile(const std::string &path)
 {
@@ -609,9 +625,9 @@ TEST(RunnerTest, ServedRecordLogReplaysWithZeroDivergence)
     // contract of docs/SERVING.md §5.
     ExecutionPlan again = recorded;
     again.recordChoices = false;
-    auto &session = replay::ReplaySession::global();
+    replay::ReplaySession session;
     session.startReplay(*log);
-    const PlanResult second = runner.runPlan(again);
+    const PlanResult second = runner.runPlan(again, &session);
     const replay::ReplayReport report = session.finishReplay();
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_FALSE(report.diverged) << report.first.describe();
@@ -738,6 +754,74 @@ TEST(RunnerTest, NextPlanAfterABudgetOverrunMatchesAFreshRunner)
             EXPECT_EQ(next.invocations, expected.invocations);
         }
     }
+}
+
+/** A noise-free plan over kDivModule starting at `initial_state`. */
+ExecutionPlan
+divPlan(std::uint64_t seed, long long initial_state)
+{
+    ExecutionPlan plan = seqPlan(seed);
+    plan.moduleText = kDivModule;
+    plan.noisyPercent = 0;
+    plan.initialState = initial_state;
+    return plan;
+}
+
+TEST(RunnerTest, DivisionByZeroFailsThePlanNotTheProcess)
+{
+    for (const JobKind kind :
+         {JobKind::IrSequential, JobKind::IrSpeculative}) {
+        for (const ir::ExecTier tier :
+             {ir::ExecTier::Ast, ir::ExecTier::Bytecode}) {
+            ExecutionPlan plan = divPlan(41, 3);
+            plan.kind = kind;
+            plan.execTier = tier;
+            ASSERT_EQ(plan.validate(), "");
+            PlanRunner runner;
+            const PlanResult result = runner.runPlan(plan);
+            EXPECT_FALSE(result.ok) << jobKindName(kind);
+            EXPECT_NE(result.error.find("division by 0 in @computeOutput"),
+                      std::string::npos)
+                << result.error;
+            EXPECT_TRUE(result.resultBlob.empty());
+
+            // The runner serves the next plan from the same module.
+            ExecutionPlan next = divPlan(42, 4);
+            next.kind = kind;
+            next.execTier = tier;
+            const PlanResult served = runner.runPlan(next);
+            EXPECT_TRUE(served.ok) << served.error;
+            EXPECT_EQ(served.resultBlob,
+                      PlanRunner().runPlan(next).resultBlob);
+        }
+    }
+}
+
+TEST(RunnerTest, DivisionByZeroFailsOnlyItsOwnLane)
+{
+    // Lane 1 starts at 3 and divides by zero on its first step; lane
+    // 2 climbs from 0 to 3 and fails on its fourth. The others never
+    // reach 3 and finish with their solo bytes.
+    const std::vector<long long> starts = {4, 3, 0, 10};
+    std::vector<QueuedPlan> batch;
+    std::vector<PlanResult> solo;
+    PlanRunner solo_runner;
+    for (std::size_t l = 0; l < starts.size(); ++l) {
+        const ExecutionPlan plan = divPlan(50 + l, starts[l]);
+        solo.push_back(solo_runner.runPlan(plan));
+        batch.push_back(queued(plan));
+    }
+    PlanRunner fused;
+    const auto results = fused.runBatch(batch);
+    ASSERT_EQ(results.size(), starts.size());
+    for (std::size_t l = 0; l < results.size(); ++l) {
+        SCOPED_TRACE("lane " + std::to_string(l));
+        EXPECT_EQ(results[l].ok, l == 0 || l == 3) << results[l].error;
+        EXPECT_EQ(results[l].error, solo[l].error);
+        EXPECT_EQ(results[l].resultBlob, solo[l].resultBlob);
+        EXPECT_EQ(results[l].batchedLanes, 4);
+    }
+    EXPECT_NE(results[1].error.find("division by 0"), std::string::npos);
 }
 
 // ============================================================ Server
@@ -1106,10 +1190,16 @@ TEST(DaemonTest, MalformedSubmissionsAreRejectedNotFatal)
     serve.join();
 }
 
-TEST(DaemonTest, StepBudgetOverrunEndsFailedAndServingGoesOn)
+/**
+ * Serve `bad` through a daemon: it must end Failed with `message` in
+ * its error, and the daemon must serve the next plan and drain.
+ */
+void
+expectFailedAndServingGoesOn(const ExecutionPlan &bad,
+                             const std::string &message)
 {
     const std::string socket_path =
-        "serving_test_budget_" + std::to_string(::getpid()) + ".sock";
+        "serving_test_fault_" + std::to_string(::getpid()) + ".sock";
     serving::Daemon daemon(socket_path);
     std::thread serve([&daemon] { daemon.serveForever(); });
 
@@ -1132,21 +1222,30 @@ TEST(DaemonTest, StepBudgetOverrunEndsFailedAndServingGoesOn)
         return status.value_or(serving::RequestStatus{});
     };
 
-    ExecutionPlan runaway = seqPlan(56);
-    runaway.stepBudget = 1;
-    const auto failed = finish(runaway);
+    const auto failed = finish(bad);
     EXPECT_EQ(failed.state, RequestState::Failed);
-    EXPECT_NE(failed.result.error.find("step budget exceeded"),
-              std::string::npos)
+    EXPECT_NE(failed.result.error.find(message), std::string::npos)
         << failed.result.error;
 
-    // The daemon survived the overrun and serves the next plan.
+    // The daemon survived the fault and serves the next plan.
     const auto done = finish(seqPlan(57));
     EXPECT_EQ(done.state, RequestState::Done);
     EXPECT_EQ(done.result.resultBlob,
               PlanRunner().runPlan(seqPlan(57)).resultBlob);
     ASSERT_TRUE(client.drain(error).has_value()) << error;
     serve.join();
+}
+
+TEST(DaemonTest, StepBudgetOverrunEndsFailedAndServingGoesOn)
+{
+    ExecutionPlan runaway = seqPlan(56);
+    runaway.stepBudget = 1;
+    expectFailedAndServingGoesOn(runaway, "step budget exceeded");
+}
+
+TEST(DaemonTest, DivisionByZeroEndsFailedAndServingGoesOn)
+{
+    expectFailedAndServingGoesOn(divPlan(58, 3), "division by 0");
 }
 
 // ===================================================== Docs lockstep

@@ -148,6 +148,7 @@ cmdReplay(const Options &options)
         return 2;
     }
     replay::RecordLog log = loadOrDie(options.positional[0]);
+    replay::ReplaySession session;
 
     const std::string fault_spec = options.get("faults", "");
     if (!fault_spec.empty()) {
@@ -157,7 +158,7 @@ cmdReplay(const Options &options)
             std::cerr << "stats-replay: " << error << "\n";
             return 2;
         }
-        replay::ReplaySession::global().setFaultPlan(*plan);
+        session.setFaultPlan(*plan);
         std::cerr << "fault plan: " << plan->describe() << "\n";
     }
 
@@ -179,6 +180,7 @@ cmdReplay(const Options &options)
     request.workload = log.meta("workload", "rep") == "bad"
                            ? benchmarks::WorkloadKind::NonRepresentative
                            : benchmarks::WorkloadKind::Representative;
+    request.session = &session;
     const std::uint64_t root_seed = log.rootSeed;
     if (root_seed != 0) {
         const support::SeedSequence seeds(root_seed);
@@ -186,7 +188,6 @@ cmdReplay(const Options &options)
         request.runSeed = seeds.derive("run");
     }
 
-    auto &session = replay::ReplaySession::global();
     session.startReplay(std::move(log));
     bench->run(request);
     const replay::ReplayReport report = session.finishReplay();
