@@ -474,23 +474,20 @@ runConfig(int workers, std::size_t tasks)
             runEpoch(std::size_t n, int workers)
             {
                 toSubmit = static_cast<std::int64_t>(n);
-                // Seed two pipelines per worker through one bootstrap
-                // task, as SpecEngine::start() does: its commit
-                // callback creates the first windows, so every arena
-                // mutation — seeding included — runs in the lane.
-                // Creating them here instead would race the commit
-                // callbacks of the windows already running.
+                // Seed two pipelines per worker from this thread, as
+                // SpecEngine::start() does: every seed window is
+                // created before the first is submitted, then all go
+                // in one batch, so no arena mutation here can overlap
+                // a commit callback. Submitting each window as it is
+                // made would race the commit callbacks of the windows
+                // already running.
                 const std::int64_t depth =
                     std::min<std::int64_t>(2 * workers, toSubmit);
-                stats::exec::Task bootstrap;
-                bootstrap.run = [] {
-                    return stats::exec::Work{0.0, 0.0};
-                };
-                bootstrap.onComplete = [this, depth] {
-                    for (std::int64_t i = 0; i < depth; ++i)
-                        executor->submit(makeWindow());
-                };
-                executor->submit(std::move(bootstrap));
+                std::vector<stats::exec::Task> seeds;
+                seeds.reserve(static_cast<std::size_t>(depth));
+                for (std::int64_t i = 0; i < depth; ++i)
+                    seeds.push_back(makeWindow());
+                executor->submitBatch(std::move(seeds));
                 executor->drain();
                 arena->drainEpoch();
             }

@@ -816,52 +816,13 @@ RangeAnalysis::RangeAnalysis(AnalysisManager &manager,
                              bool trust_builtins)
     : _manager(manager), _trustBuiltins(trust_builtins)
 {
-    const ir::Module &module = manager.module();
+    // Bottom-up processing order; functions on a call cycle get top
+    // summaries.
     const ir::CallGraph &graph = manager.callGraph();
-
-    // Iterative DFS: bottom-up (postorder) processing order, plus the
-    // set of functions on any call cycle — those get top summaries.
-    std::map<std::string, int> color; // 0 white, 1 grey, 2 black.
-    std::set<std::string> recursive;
-    std::vector<std::string> postorder;
-    for (const auto &fn : module.functions) {
-        if (color[fn.name] != 0)
-            continue;
-        std::vector<std::pair<std::string, std::size_t>> stack;
-        stack.emplace_back(fn.name, 0);
-        color[fn.name] = 1;
-        while (!stack.empty()) {
-            auto &[name, next] = stack.back();
-            const auto &callees = graph.callees(name);
-            if (next < callees.size()) {
-                auto it = callees.begin();
-                std::advance(it, long(next));
-                ++next;
-                const std::string &callee = *it;
-                if (color[callee] == 0) {
-                    color[callee] = 1;
-                    stack.emplace_back(callee, 0);
-                } else if (color[callee] == 1) {
-                    // Back edge: everything from the callee's stack
-                    // position upward is on a cycle.
-                    bool seen = false;
-                    for (const auto &frame : stack) {
-                        seen = seen || frame.first == callee;
-                        if (seen)
-                            recursive.insert(frame.first);
-                    }
-                }
-            } else {
-                color[name] = 2;
-                postorder.push_back(name);
-                stack.pop_back();
-            }
-        }
-    }
-
+    const std::set<std::string> &recursive = graph.recursive();
     for (const auto &name : recursive)
         _summaries[name] = ValueRange::top();
-    for (const auto &name : postorder) {
+    for (const auto &name : graph.bottomUp()) {
         analyzeFunction(name);
         if (recursive.count(name) == 0)
             _summaries[name] = _functions[name].returnRange;

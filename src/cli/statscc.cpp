@@ -456,6 +456,10 @@ cmdTune(const Args &args)
                                 parseWorkload(args.option("workload",
                                                           "rep")));
     profiler.setReplaySession(&replay_options.session);
+    // One root seed drives every stream, as in cmdRun: a seeded tune
+    // prints the same result every time (docs/REPLAY.md §1).
+    if (root_seed != 0)
+        profiler.setRunSeed(seeds.derive("run"));
     autotuner::Autotuner tuner(bench->stateSpace(threads),
                                seeds.derive("tuner"));
 

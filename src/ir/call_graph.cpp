@@ -1,5 +1,8 @@
 #include "ir/call_graph.hpp"
 
+#include <iterator>
+#include <utility>
+
 namespace stats::ir {
 
 CallGraph::CallGraph(const Module &module) : _module(module)
@@ -21,6 +24,44 @@ CallGraph::CallGraph(const Module &module) : _module(module)
             }
         }
         _directTradeoff[fn.name] = direct;
+    }
+
+    // Iterative DFS: bottom-up (postorder) order, plus the set of
+    // functions on any call cycle.
+    std::map<std::string, int> color; // 0 white, 1 grey, 2 black.
+    for (const auto &fn : module.functions) {
+        if (color[fn.name] != 0)
+            continue;
+        std::vector<std::pair<std::string, std::size_t>> stack;
+        stack.emplace_back(fn.name, 0);
+        color[fn.name] = 1;
+        while (!stack.empty()) {
+            auto &[name, next] = stack.back();
+            const auto &edges = callees(name);
+            if (next < edges.size()) {
+                auto it = edges.begin();
+                std::advance(it, long(next));
+                ++next;
+                const std::string &callee = *it;
+                if (color[callee] == 0) {
+                    color[callee] = 1;
+                    stack.emplace_back(callee, 0);
+                } else if (color[callee] == 1) {
+                    // Back edge: everything from the callee's stack
+                    // position upward is on a cycle.
+                    bool seen = false;
+                    for (const auto &frame : stack) {
+                        seen = seen || frame.first == callee;
+                        if (seen)
+                            _recursive.insert(frame.first);
+                    }
+                }
+            } else {
+                color[name] = 2;
+                _bottomUp.push_back(name);
+                stack.pop_back();
+            }
+        }
     }
 }
 

@@ -38,9 +38,17 @@ class CallGraph
     /** Whether `fn` directly calls any tradeoff placeholder. */
     bool hasDirectTradeoff(const std::string &fn) const;
 
+    /** Every function, callees before callers (DFS postorder). */
+    const std::vector<std::string> &bottomUp() const { return _bottomUp; }
+
+    /** Functions on a call cycle (self-recursion included). */
+    const std::set<std::string> &recursive() const { return _recursive; }
+
   private:
     const Module &_module;
     std::map<std::string, std::set<std::string>> _callees;
+    std::vector<std::string> _bottomUp;
+    std::set<std::string> _recursive;
     std::set<std::string> _placeholders;
     std::map<std::string, bool> _directTradeoff;
 };

@@ -3,6 +3,7 @@
 #include "observability/metrics.hpp"
 #include "replay/session.hpp"
 #include "support/json.hpp"
+#include "support/seed_sequence.hpp"
 
 namespace stats::profiler {
 
@@ -39,6 +40,10 @@ Profiler::profile(const tradeoff::Configuration &config)
         request.machine = _machine;
         request.workload = _workload;
         request.workloadSeed = _workloadSeed;
+        if (_runSeed != 0) {
+            request.runSeed = support::SeedSequence(_runSeed).derive(
+                "repetition", static_cast<std::uint64_t>(rep));
+        }
         request.session = _session;
         const benchmarks::RunResult result = _benchmark.run(request);
         total.seconds += result.virtualSeconds;

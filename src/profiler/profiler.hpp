@@ -80,6 +80,14 @@ class Profiler
         _session = session;
     }
 
+    /**
+     * Pin the profiled runs' PRVGs (0 = entropy, the default).
+     * Repetition `r` of every configuration runs with the seed
+     * derived from (`seed`, r), so configurations are compared under
+     * the same random streams and a seeded tune is reproducible.
+     */
+    void setRunSeed(std::uint64_t seed) { _runSeed = seed; }
+
     /** Objective function for the autotuner. */
     autotuner::Autotuner::Objective
     objectiveFunction(Objective objective);
@@ -115,6 +123,7 @@ class Profiler
     benchmarks::WorkloadKind _workload;
     std::uint64_t _workloadSeed;
     int _repetitions;
+    std::uint64_t _runSeed = 0;
     replay::ReplaySession *_session = nullptr;
     std::vector<double> _oracle;
     std::map<tradeoff::Configuration, Measurement> _cache;

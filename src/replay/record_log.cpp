@@ -1,6 +1,7 @@
 #include "replay/record_log.hpp"
 
 #include <fstream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -98,6 +99,23 @@ encodeStats(const RunStatsRecord &stats)
     return {stats.validations, stats.mismatches, stats.reexecutions,
             stats.aborts,      stats.squashedGroups,
             stats.invocations};
+}
+
+const char *
+payloadFieldName(RecordKind kind, std::size_t index)
+{
+    static const char *const kConfigFields[] = {
+        "useAuxiliary",  "groupSize",    "auxWindow",
+        "maxReexecutions", "rollbackDepth", "sdThreads",
+        "innerThreads",  "inputCount"};
+    static const char *const kStatsFields[] = {
+        "validations", "mismatches",     "reexecutions",
+        "aborts",      "squashedGroups", "invocations"};
+    if (kind == RecordKind::RunBegin && index < std::size(kConfigFields))
+        return kConfigFields[index];
+    if (kind == RecordKind::RunEnd && index < std::size(kStatsFields))
+        return kStatsFields[index];
+    return "payload";
 }
 
 std::optional<RunStatsRecord>

@@ -111,6 +111,13 @@ std::vector<std::int64_t> encodeStats(const RunStatsRecord &stats);
 std::optional<RunStatsRecord>
 decodeStats(const std::vector<std::int64_t> &payload);
 
+/**
+ * Name of payload field `index` of a RunBegin or RunEnd record, in
+ * encodeConfig / encodeStats order; "payload" for any other kind or
+ * index.
+ */
+const char *payloadFieldName(RecordKind kind, std::size_t index);
+
 /** An in-memory record log plus its identifying header fields. */
 struct RecordLog
 {

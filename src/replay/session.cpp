@@ -26,6 +26,28 @@ Divergence::describe() const
         out << " group " << actualGroup;
     if (expectedValue != actualValue)
         out << " (value " << actualValue << ")";
+    if (expectedKind != actualKind || expectedGroup != actualGroup ||
+        expectedValue != actualValue)
+        return out.str();
+    // Same record on both sides: name the field that differs.
+    if (expectedB != actualB) {
+        out << "; b: expected " << expectedB << ", got " << actualB;
+        return out.str();
+    }
+    const std::size_t n =
+        std::min(expectedPayload.size(), actualPayload.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        if (expectedPayload[i] != actualPayload[i]) {
+            out << "; " << payloadFieldName(expectedKind, i)
+                << ": expected " << expectedPayload[i] << ", got "
+                << actualPayload[i];
+            return out.str();
+        }
+    }
+    if (expectedPayload.size() != actualPayload.size()) {
+        out << "; payload: expected " << expectedPayload.size()
+            << " fields, got " << actualPayload.size();
+    }
     return out.str();
 }
 
@@ -158,6 +180,8 @@ ReplaySession::reportDivergence(const Record *expected,
         _first.expectedKind = expected->kind;
         _first.expectedGroup = expected->group;
         _first.expectedValue = expected->a;
+        _first.expectedB = expected->b;
+        _first.expectedPayload = expected->payload;
     } else {
         // Log exhausted: the recording ended before the execution did.
         _first.expectedKind = RecordKind::RunEnd;
@@ -167,6 +191,8 @@ ReplaySession::reportDivergence(const Record *expected,
     _first.actualKind = actual.kind;
     _first.actualGroup = actual.group;
     _first.actualValue = actual.a;
+    _first.actualB = actual.b;
+    _first.actualPayload = actual.payload;
 }
 
 void

@@ -43,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "replay/fault_plan.hpp"
 #include "replay/record_log.hpp"
@@ -71,6 +72,15 @@ struct Divergence
     RecordKind actualKind = RecordKind::Commit;
     std::int32_t actualGroup = -1;
     std::int64_t actualValue = 0;
+
+    /**
+     * The rest of both records (`b` and the RunBegin/RunEnd payload),
+     * so describe() can name a field when kind, group and value agree.
+     */
+    std::int64_t expectedB = 0;
+    std::int64_t actualB = 0;
+    std::vector<std::int64_t> expectedPayload;
+    std::vector<std::int64_t> actualPayload;
 
     /** Human-readable one-liner. */
     std::string describe() const;

@@ -28,14 +28,21 @@
  * {engine, group index, record pointer} and therefore fit the
  * executor's inline closure storage — a window task submission
  * performs zero heap allocations in steady state. Records are created
- * and destroyed only inside the serialized completion callbacks, which
- * is the arena's external-synchronization contract; the arena's epoch
- * is drained at join(), after the executor's drain() quiescent point
- * (docs/INTERNALS.md §4).
+ * and destroyed only by start() — on the caller, before the run's
+ * first task exists — and inside the serialized completion callbacks,
+ * which is the arena's external-synchronization contract; the arena's
+ * epoch is drained at join(), after the executor's drain() quiescent
+ * point (docs/INTERNALS.md §4).
+ *
+ * Outputs reach their final slot in input order as soon as they are
+ * final (a committed group once its successor validated, the last
+ * group at its commit, the recovery task's on completion), inside the
+ * completion lane, so join() has nothing left to gather.
  */
 
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -189,13 +196,11 @@ class SpecEngine
                        _inputs.size());
         }
 
-        // All engine bookkeeping must happen in serialized completion
-        // callbacks; bootstrap via a zero-cost task.
-        exec::Task bootstrap;
-        bootstrap.width = 1;
-        bootstrap.run = [] { return exec::Work{0.0, 0.0}; };
-        bootstrap.onComplete = [this] { launchInitialTasks(); };
-        _executor.submit(std::move(bootstrap));
+        _finalOutputs.resize(_inputs.size());
+        // Launch on the caller. No task of this run exists yet, so no
+        // completion callback can race this bookkeeping; from the
+        // submission on, it happens only in serialized callbacks.
+        launchInitialTasks();
     }
 
     /** Wait for all inputs to be correctly processed. */
@@ -219,7 +224,10 @@ class SpecEngine
             rs.invocations = _stats.invocations;
             replayMark(session->engineRunEnd(rs), 0, 0, _inputs.size());
         }
-        assembleOutputs();
+        if (_outputsPlaced != _inputs.size()) {
+            support::panic("SpecEngine produced ", _outputsPlaced,
+                           " outputs for ", _inputs.size(), " inputs");
+        }
     }
 
     /** Outputs in input order; valid after join(). */
@@ -357,6 +365,7 @@ class SpecEngine
             _conventional = true;
             return;
         }
+        _groups.reserve((n + g - 1) / g);
         for (std::size_t begin = 0; begin < n; begin += g) {
             Group group;
             group.begin = begin;
@@ -379,9 +388,12 @@ class SpecEngine
         }
         // Group 0's body plus the initial aux window go to the
         // executor as one batch: one enqueue/wake operation instead of
-        // 1 + window separate submissions. With a batched auxiliary
-        // function installed, consecutive windows additionally fuse
-        // into lockstep tasks of up to auxBatchGroups lanes.
+        // 1 + window separate submissions. Submitted from the caller
+        // (start()), the batch enters a ThreadExecutor's pool through
+        // its injector and wakes every idle worker at once. With a
+        // batched auxiliary function installed, consecutive windows
+        // additionally fuse into lockstep tasks of up to
+        // auxBatchGroups lanes.
         std::vector<exec::Task> batch;
         batch.push_back(makeBodyTask(0));
         _groups[0].status = GroupStatus::BodyRunning;
@@ -414,6 +426,7 @@ class SpecEngine
     {
         double units = 0.0;
         double mem_weighted = 0.0;
+        outputs.reserve(outputs.size() + (end - begin));
         for (std::size_t pos = begin; pos < end; ++pos) {
             if (checkpoint && pos == checkpoint_pos) {
                 *checkpoint = state; // Clone for rollback.
@@ -449,7 +462,7 @@ class SpecEngine
         };
         task.onComplete = [this, rec] {
             _stats.bodyWorkSeconds += rec->workDone;
-            _conventionalOutputs = std::move(rec->outputs);
+            placeOutputs(0, rec->outputs);
             _stats.invocations +=
                 static_cast<std::int64_t>(_inputs.size());
             _arena.destroy(rec);
@@ -685,6 +698,8 @@ class SpecEngine
                 break;
             }
             group.status = GroupStatus::Committed;
+            if (j + 1 == _groups.size())
+                placeOutputs(group.begin, group.outputs); // Final now.
             group.originalFinals.push_back(*group.finalState);
             traceEvent(obs::EventType::Commit, j, group.begin,
                        group.end);
@@ -789,6 +804,7 @@ class SpecEngine
             for (auto &out : tail)
                 producer.outputs.push_back(std::move(out));
         }
+        placeOutputs(producer.begin, producer.outputs);
         Group &group = _groups[j];
         group.startValidated = true;
         ++_stats.validations;
@@ -886,7 +902,9 @@ class SpecEngine
         }
 
         // Restart from the *first* original state of the previous
-        // group; no further speculation for the current inputs.
+        // group; no further speculation for the current inputs. The
+        // producer keeps its first execution's outputs.
+        placeOutputs(_groups[j - 1].begin, _groups[j - 1].outputs);
         const std::size_t restart_begin = _groups[j].begin;
         const std::size_t n = _inputs.size();
         _stats.sequentialInputs +=
@@ -909,37 +927,35 @@ class SpecEngine
             rec->workDone = work.units;
             return work;
         };
-        task.onComplete = [this, rec] {
+        task.onComplete = [this, j, rec] {
             ++_stats.stateClones;
             _stats.bodyWorkSeconds += rec->workDone;
-            _recoveryOutputs = std::move(rec->outputs);
-            _arena.destroy(rec);
             _stats.invocations +=
-                static_cast<std::int64_t>(_recoveryOutputs.size());
+                static_cast<std::int64_t>(rec->outputs.size());
+            placeOutputs(_groups[j].begin, rec->outputs);
+            _arena.destroy(rec);
         };
         _executor.submit(std::move(task));
     }
 
+    /**
+     * Move outputs that just became final into their slots, starting
+     * at input `begin`. Runs inside the serialized completion lane;
+     * join() checks that every slot was filled exactly once.
+     */
     void
-    assembleOutputs()
+    placeOutputs(std::size_t begin,
+                 std::vector<std::unique_ptr<Output>> &outputs)
     {
-        _finalOutputs.clear();
-        if (_conventional) {
-            _finalOutputs = std::move(_conventionalOutputs);
-            return;
-        }
-        for (auto &group : _groups) {
-            if (group.status != GroupStatus::Committed)
-                break;
-            for (auto &out : group.outputs)
-                _finalOutputs.push_back(std::move(out));
-        }
-        for (auto &out : _recoveryOutputs)
-            _finalOutputs.push_back(std::move(out));
-        if (_finalOutputs.size() != _inputs.size()) {
-            support::panic("SpecEngine produced ", _finalOutputs.size(),
+        if (begin + outputs.size() > _finalOutputs.size()) {
+            support::panic("SpecEngine produced ", begin + outputs.size(),
                            " outputs for ", _inputs.size(), " inputs");
         }
+        std::move(outputs.begin(), outputs.end(),
+                  _finalOutputs.begin() +
+                      static_cast<std::ptrdiff_t>(begin));
+        _outputsPlaced += outputs.size();
+        outputs.clear();
     }
 
     /**
@@ -997,9 +1013,9 @@ class SpecEngine
     bool _started = false;
     bool _conventional = false;
 
-    std::vector<std::unique_ptr<Output>> _conventionalOutputs;
-    std::vector<std::unique_ptr<Output>> _recoveryOutputs;
+    /** One slot per input, filled by placeOutputs(). */
     std::vector<std::unique_ptr<Output>> _finalOutputs;
+    std::size_t _outputsPlaced = 0;
     EngineStats _stats;
 };
 

@@ -33,7 +33,9 @@
 
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -56,6 +58,85 @@ class StateDependence
   public:
     using ComputeOutputFn = std::function<Output *(Input *, State *)>;
     using Engine = SpecEngine<Input *, State, Output>;
+
+    /**
+     * Read-only view of the outputs, in input order, as `Output *`
+     * (the engine owns them). Iteration, size() and operator[] read
+     * the engine's vector in place: nothing is copied at join().
+     */
+    class OutputView
+    {
+        using Slots = std::vector<std::unique_ptr<Output>>;
+
+      public:
+        class iterator
+        {
+          public:
+            using iterator_category = std::input_iterator_tag;
+            using value_type = Output *;
+            using difference_type = std::ptrdiff_t;
+            using pointer = void;
+            using reference = Output *;
+
+            iterator() = default;
+            explicit iterator(typename Slots::const_iterator at)
+                : _at(at)
+            {
+            }
+            Output *operator*() const { return _at->get(); }
+            iterator &
+            operator++()
+            {
+                ++_at;
+                return *this;
+            }
+            iterator
+            operator++(int)
+            {
+                iterator before = *this;
+                ++_at;
+                return before;
+            }
+            bool
+            operator==(const iterator &other) const
+            {
+                return _at == other._at;
+            }
+            bool
+            operator!=(const iterator &other) const
+            {
+                return _at != other._at;
+            }
+
+          private:
+            typename Slots::const_iterator _at;
+        };
+
+        explicit OutputView(const Slots *slots) : _slots(slots) {}
+
+        std::size_t size() const { return _slots ? _slots->size() : 0; }
+
+        Output *
+        operator[](std::size_t i) const
+        {
+            return (*_slots)[i].get();
+        }
+
+        iterator
+        begin() const
+        {
+            return _slots ? iterator(_slots->begin()) : iterator();
+        }
+
+        iterator
+        end() const
+        {
+            return _slots ? iterator(_slots->end()) : iterator();
+        }
+
+      private:
+        const Slots *_slots;
+    };
 
     /**
      * @param inputs        ordered inputs; the number of inputs must
@@ -111,6 +192,7 @@ class StateDependence
     void
     start()
     {
+        _joined = false;
         _executor = std::make_unique<exec::ThreadExecutor>(
             threading::ThreadPool::shared(_threads));
         auto wrap = [](const ComputeOutputFn &fn) {
@@ -138,13 +220,18 @@ class StateDependence
         if (!_engine)
             support::panic("StateDependence::join before start");
         _engine->join();
-        _outputs.clear();
-        for (const auto &out : _engine->outputs())
-            _outputs.push_back(out.get());
+        _joined = true;
     }
 
-    /** Outputs in input order (owned by this object); after join(). */
-    const std::vector<Output *> &outputs() const { return _outputs; }
+    /**
+     * Outputs in input order (owned by this object); empty until
+     * join() returns, since workers fill them while the run is live.
+     */
+    OutputView
+    outputs() const
+    {
+        return OutputView(_joined ? &_engine->outputs() : nullptr);
+    }
 
     /** Engine counters; after join(). */
     const EngineStats &stats() const { return _engine->stats(); }
@@ -160,7 +247,7 @@ class StateDependence
 
     std::unique_ptr<exec::ThreadExecutor> _executor;
     std::unique_ptr<Engine> _engine;
-    std::vector<Output *> _outputs;
+    bool _joined = false;
 };
 
 } // namespace stats::sdi

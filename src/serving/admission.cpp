@@ -6,6 +6,7 @@
 #include "analysis/lint.hpp"
 #include "benchmarks/common/benchmark.hpp"
 #include "ir/bytecode_verifier.hpp"
+#include "ir/call_graph.hpp"
 #include "ir/parser.hpp"
 #include "ir/verifier.hpp"
 #include "midend/midend.hpp"
@@ -157,6 +158,17 @@ AdmissionController::validate(const ExecutionPlan &plan,
     if (module->stateDeps.empty()) {
         verdict.reason = RejectReason::VerifyError;
         verdict.detail = "module declares no state dependence";
+        return verdict;
+    }
+    // A call-graph cycle can panic either tier (the interpreter's
+    // call-depth limit, the bytecode compiler's class inference), so
+    // it is rejected regardless of the lint switch, before any tier
+    // sees the module.
+    if (const ir::CallGraph graph(*module); !graph.recursive().empty()) {
+        verdict.reason = RejectReason::AnalysisError;
+        verdict.detail = "recursive call graph: @" +
+                         *graph.recursive().begin() +
+                         " is on a call cycle";
         return verdict;
     }
     midend::runMiddleEnd(*module);

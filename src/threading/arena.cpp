@@ -83,7 +83,10 @@ TaskArena::refill(std::size_t index, std::size_t minBytes)
     if (index >= _blocks.size() || _blocks[index].size < minBytes) {
         Block block;
         block.size = std::max(_blockBytes, minBytes);
-        block.data = std::make_unique<unsigned char[]>(block.size);
+        // Uninitialized: records are placement-constructed, and
+        // zero-filling a fresh block faults in every page of it on
+        // the submitting thread (the engine's start() path).
+        block.data.reset(new unsigned char[block.size]);
         heap = true;
         ++_stats.blockAllocs;
         if (index >= _blocks.size()) {

@@ -17,11 +17,37 @@ namespace {
 constexpr std::size_t kInjectorCapacity = 32768;
 
 /**
- * Steal/probe rounds an idle worker spins (yielding between rounds)
- * before parking. Deliberately small: on an oversubscribed host a
- * long spin phase steals cycles from the threads that have work.
+ * Steal/probe rounds an idle worker spins before parking. Deliberately
+ * small: on an oversubscribed host a long spin phase steals cycles from
+ * the threads that have work.
  */
 constexpr int kSpinRounds = 4;
+
+/**
+ * cpuRelax() hints between two spin rounds, about a microsecond: the
+ * whole spin phase ends in a few microseconds, long before a scheduler
+ * time slice would (see runOneTask), and a worker oversubscribed onto
+ * a busy CPU burns little of it before parking.
+ */
+constexpr int kRelaxPerRound = 16;
+
+/**
+ * One spin-wait hint: `pause` on x86, `yield` on AArch64, a compiler
+ * barrier elsewhere. Unlike std::this_thread::yield() it never enters
+ * the kernel, so the spinning worker keeps its CPU instead of handing
+ * it to a co-scheduled thread for a whole time slice.
+ */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#else
+    asm volatile("" ::: "memory");
+#endif
+}
 
 /** Recycled deque nodes kept per worker before freeing to the heap. */
 constexpr std::size_t kFreeNodeCap = 256;
@@ -517,8 +543,16 @@ ThreadPool::runOneTask(Worker &self)
         finishMany(done);
         return true;
     }
-    // Spin-then-park: bounded stealing rounds, yielding between them
-    // so co-scheduled threads with work make progress.
+    // Spin-then-park: bounded stealing rounds with a short cpu-relax
+    // wait between them, then park. The wait must not be a
+    // std::this_thread::yield(): a worker sharing its CPU with a busy
+    // sibling would hand the core over for a whole time slice per
+    // round and stay counted in `_spinners` all that while, which
+    // mutes every wake the sibling's submissions send. No pool thread
+    // then blocks, so the kernel gets no wake-up at which to move
+    // either off the shared CPU; once the spin ends in microseconds,
+    // the worker parks and the next wake lets the kernel place it on
+    // an idle CPU.
     _spinners.fetch_add(1, std::memory_order_seq_cst);
     TaskNode *node = nullptr;
     bool found = false;
@@ -530,7 +564,8 @@ ThreadPool::runOneTask(Worker &self)
         }
         if (_shutdown.load(std::memory_order_relaxed))
             break;
-        std::this_thread::yield();
+        for (int i = 0; i < kRelaxPerRound; ++i)
+            cpuRelax();
     }
     _spinners.fetch_sub(1, std::memory_order_seq_cst);
     if (node) {
@@ -680,10 +715,12 @@ ThreadPool::Stats
 ThreadPool::stats() const
 {
     Stats stats;
+    stats.executedPerWorker.reserve(_workers.size());
     for (const auto &worker : _workers) {
         const auto &local = worker->local;
-        stats.executed +=
-            local.executed.load(std::memory_order_relaxed);
+        stats.executedPerWorker.push_back(
+            local.executed.load(std::memory_order_relaxed));
+        stats.executed += stats.executedPerWorker.back();
         stats.cancelled +=
             local.cancelled.load(std::memory_order_relaxed);
         stats.stolen += local.stolen.load(std::memory_order_relaxed);

@@ -104,6 +104,8 @@ class ThreadPool
         std::uint64_t stealBatches = 0; ///< Steal rounds that got >= 1.
         std::uint64_t parks = 0;     ///< Times a worker blocked.
         std::uint64_t unparks = 0;   ///< Times a parked worker woke.
+        /** `executed`, split by worker (index = worker number). */
+        std::vector<std::uint64_t> executedPerWorker;
     };
 
     /** Spawn `threads` workers (at least 1). */

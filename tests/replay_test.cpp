@@ -578,6 +578,33 @@ TEST_F(ReplaySessionTest, FlippedVerdictIsReportedAsValueDivergence)
     EXPECT_NE(what.find("-1"), std::string::npos);
 }
 
+TEST_F(ReplaySessionTest, ConfigSkewNamesTheDifferingField)
+{
+    // A log recorded with groupSize 8, replayed by a run configured
+    // with groupSize 4: both sides emit RunBegin, so only the payload
+    // differs, and the one-liner must say which field and how.
+    replay::RecordLog log = recordToyRun(makeInputs(20));
+    replay::Record &begin = log.records.front();
+    ASSERT_EQ(begin.kind, replay::RecordKind::RunBegin);
+    auto config = replay::decodeConfig(begin.payload);
+    ASSERT_TRUE(config.has_value());
+    ASSERT_EQ(config->groupSize, 4);
+    config->groupSize = 8;
+    begin.payload = replay::encodeConfig(*config);
+
+    session.startReplay(log);
+    (void)runToyEngine(makeInputs(20));
+    const replay::ReplayReport report = session.finishReplay();
+
+    ASSERT_TRUE(report.diverged);
+    EXPECT_EQ(report.first.epoch, 0u);
+    EXPECT_EQ(report.first.expectedKind, replay::RecordKind::RunBegin);
+    EXPECT_EQ(report.first.actualKind, replay::RecordKind::RunBegin);
+    EXPECT_EQ(report.first.describe(),
+              "run 0 epoch 0: expected RunBegin, got RunBegin; "
+              "groupSize: expected 8, got 4");
+}
+
 TEST_F(ReplaySessionTest, ForcedVerdictKeepsReplayOnTheRecordedPath)
 {
     // Record WITH a fault that aborts speculation; replay the log

@@ -9,14 +9,22 @@
  * and waitIdle() never returns while work remains. The determinism
  * test pins that the speculation engine's committed output — which
  * depends only on the serialized commit lane, not on which worker
- * ran which task — is unchanged under stealing.
+ * ran which task — is unchanged under stealing. The co-location test
+ * pins a pool's two workers to one CPU, then lifts the mask: the idle
+ * worker must block rather than spin its sibling's wakes away.
  */
 
+#include <sched.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <iostream>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -251,6 +259,119 @@ TEST(SchedulerDeterminism, EngineOutputUnchangedUnderStealing)
         EXPECT_EQ(engine.stats().validations,
                   engine.stats().groups - 1);
     }
+}
+
+// ---------------------------------------------------------------------
+// Co-location. When both workers of a pool share one CPU, the idle one
+// must block (park) instead of spinning on: a spin phase that yields
+// the CPU to its busy sibling lasts whole time slices, keeps the
+// spinner counted in `_spinners` and so mutes every wake the sibling's
+// submissions send. No pool thread then ever blocks while a run is
+// live, and the kernel never gets a wake-up at which to move the
+// sibling to an idle CPU once one is allowed.
+
+/** Toy dependence with ~0.5 us of mixing per input. */
+Engine::ComputeFn
+busyCompute()
+{
+    return [](const int &input, ToyState &state,
+              const sdi::ComputeContext &) -> Engine::Invocation {
+        auto out = std::make_unique<ToyOutput>();
+        out->observedPriorState = state.v;
+        out->input = input;
+        std::uint64_t x = static_cast<std::uint64_t>(input);
+        for (int r = 0; r < 400; ++r) {
+            x ^= x >> 31;
+            x *= 0x94d049bb133111ebULL;
+            x += static_cast<std::uint64_t>(r);
+        }
+        asm volatile("" : : "r"(x)); // Keep the mixing loop.
+        state.v = static_cast<long long>(input) * 10;
+        return {std::move(out), exec::Work{0.0, 0.0}};
+    };
+}
+
+/** Set every thread of this process (and only those) to `mask`. */
+void
+setProcessAffinity(const cpu_set_t &mask)
+{
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        const auto tid = static_cast<pid_t>(
+            std::stol(entry.path().filename().string()));
+        (void)::sched_setaffinity(tid, sizeof mask, &mask);
+    }
+}
+
+TEST(SchedulerColocation, IdleWorkerParksWhileSharingACpuAndBothWork)
+{
+    cpu_set_t allowed;
+    ASSERT_EQ(::sched_getaffinity(0, sizeof allowed, &allowed), 0);
+    if (CPU_COUNT(&allowed) < 2)
+        GTEST_SKIP() << "needs at least 2 allowed CPUs";
+    int first = 0;
+    while (!CPU_ISSET(first, &allowed))
+        ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+
+    std::vector<int> inputs;
+    for (int i = 1; i <= 4096; ++i)
+        inputs.push_back(i);
+    sdi::SpecConfig config;
+    config.groupSize = 64;
+    config.auxWindow = 1;
+    config.sdThreads = 2;
+
+    // The workers inherit this thread's one-CPU mask.
+    ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+    ThreadPool pool(2);
+    exec::ThreadExecutor ex(pool);
+    const auto runOnce = [&] {
+        Engine engine(ex, inputs, ToyState{}, busyCompute(),
+                      busyCompute(), exactMatcher(), config);
+        engine.start();
+        engine.join();
+        ASSERT_EQ(engine.outputs().size(), inputs.size());
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+            ASSERT_EQ(engine.outputs()[i]->input, inputs[i]);
+    };
+    const std::uint64_t parks_before = pool.stats().parks;
+    for (int run = 0; run < 5; ++run)
+        runOnce();
+    const std::uint64_t pinned_parks = pool.stats().parks - parks_before;
+
+    setProcessAffinity(allowed);
+    constexpr int kReleasedRuns = 20;
+    int lopsided = 0;
+    std::uint64_t ran[2] = {0, 0};
+    for (int run = 0; run < kReleasedRuns; ++run) {
+        const std::vector<std::uint64_t> before =
+            pool.stats().executedPerWorker;
+        runOnce();
+        const std::vector<std::uint64_t> after =
+            pool.stats().executedPerWorker;
+        ASSERT_EQ(after.size(), 2u);
+        const std::uint64_t a = after[0] - before[0];
+        const std::uint64_t b = after[1] - before[1];
+        ran[0] += a;
+        ran[1] += b;
+        // A pair still sharing one CPU leaves one worker nearly all
+        // of a run's tasks; a spread pair splits them far more evenly.
+        if (std::min(a, b) * 10 < a + b)
+            ++lopsided;
+    }
+    std::cout << "parks while sharing a CPU: " << pinned_parks
+              << "; released runs with a worker under 10% of the tasks: "
+              << lopsided << " of " << kReleasedRuns << "\n";
+    ::testing::Test::RecordProperty("lopsidedReleasedRuns", lopsided);
+
+    EXPECT_GT(pinned_parks, 0u)
+        << "the idle worker never blocked while it shared a CPU with "
+           "its busy sibling, so every wake was muted";
+    EXPECT_GT(ran[0], 0u);
+    EXPECT_GT(ran[1], 0u);
 }
 
 } // namespace

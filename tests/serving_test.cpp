@@ -67,6 +67,22 @@ const char *const kFixtureModule =
     "  ret i64 %a\n"
     "}\n";
 
+/** computeOutput calls a self-recursive helper: no tier can run it. */
+const char *const kRecursiveModule =
+    "module \"serving_recursive\"\n"
+    "statedep SD0 compute=@computeOutput\n"
+    "\n"
+    "func @helper(i64 %x) -> i64 {\n"
+    "entry:\n"
+    "  %r = call i64 @helper %x\n"
+    "  ret i64 %r\n"
+    "}\n"
+    "func @computeOutput(i64 %input, i64 %state) -> i64 {\n"
+    "entry:\n"
+    "  %a = call i64 @helper %input\n"
+    "  ret i64 %a\n"
+    "}\n";
+
 /**
  * Loops `state` times, then returns the input (plus 1 when the state
  * was below 1): served states stay under 1000, while a huge initial
@@ -342,6 +358,19 @@ TEST(AdmissionTest, LintRunsAtAdmissionUnlessDisabled)
     // statsd --no-analysis skips exactly this stage.
     EXPECT_TRUE(
         AdmissionController::validate(impure, false).admitted());
+}
+
+TEST(AdmissionTest, RecursiveCallGraphIsRejectedEvenWithoutLint)
+{
+    ExecutionPlan recursive = seqPlan();
+    recursive.moduleText = kRecursiveModule;
+    for (const bool lint : {true, false}) {
+        const auto verdict =
+            AdmissionController::validate(recursive, lint);
+        EXPECT_EQ(verdict.reason, RejectReason::AnalysisError);
+        EXPECT_NE(verdict.detail.find("@helper"), std::string::npos)
+            << verdict.detail;
+    }
 }
 
 TEST(AdmissionTest, ConfigurationPointMustBindToRealTradeoffs)
@@ -1246,6 +1275,52 @@ TEST(DaemonTest, StepBudgetOverrunEndsFailedAndServingGoesOn)
 TEST(DaemonTest, DivisionByZeroEndsFailedAndServingGoesOn)
 {
     expectFailedAndServingGoesOn(divPlan(58, 3), "division by 0");
+}
+
+TEST(DaemonTest, RecursivePlanIsRejectedAndServingGoesOn)
+{
+    const std::string socket_path =
+        "serving_test_recursive_" + std::to_string(::getpid()) + ".sock";
+    serving::Daemon daemon(socket_path);
+    std::thread serve([&daemon] { daemon.serveForever(); });
+
+    std::string error;
+    serving::Client client(socket_path, error);
+    ASSERT_TRUE(client.connected()) << error;
+
+    // Every tier used to end the daemon here (call depth exceeded, or
+    // a forced bytecode tier that cannot compile the module).
+    for (const ir::ExecTier tier :
+         {ir::ExecTier::Ast, ir::ExecTier::Auto, ir::ExecTier::Bytecode}) {
+        for (const JobKind kind :
+             {JobKind::IrSequential, JobKind::IrSpeculative}) {
+            ExecutionPlan recursive = seqPlan(59);
+            recursive.kind = kind;
+            recursive.execTier = tier;
+            recursive.moduleText = kRecursiveModule;
+            AdmissionVerdict verdict;
+            EXPECT_FALSE(client.submit(recursive.saveToString(), verdict,
+                                       error)
+                             .has_value());
+            EXPECT_EQ(verdict.reason, RejectReason::AnalysisError);
+        }
+    }
+
+    // The next plan is served.
+    AdmissionVerdict verdict;
+    const auto request_id =
+        client.submit(seqPlan(57).saveToString(), verdict, error);
+    ASSERT_TRUE(request_id.has_value()) << error << " " << verdict.detail;
+    std::optional<serving::RequestStatus> status;
+    EXPECT_TRUE(serving_testing::pollUntil([&] {
+        status = client.result(*request_id, error);
+        return status && status->state == RequestState::Done;
+    }));
+    ASSERT_TRUE(status.has_value()) << error;
+    EXPECT_EQ(status->result.resultBlob,
+              PlanRunner().runPlan(seqPlan(57)).resultBlob);
+    ASSERT_TRUE(client.drain(error).has_value()) << error;
+    serve.join();
 }
 
 // ===================================================== Docs lockstep

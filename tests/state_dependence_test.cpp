@@ -105,12 +105,19 @@ TEST(StateDependenceFacade, SpeculatesWithAuxiliaryAndStateMethod)
     dep.setThreads(4);
 
     dep.start();
+    // Workers fill the outputs while the run is live: none show yet.
+    EXPECT_EQ(dep.outputs().size(), 0u);
     dep.join();
 
     ASSERT_EQ(dep.outputs().size(), 40u);
     for (int i = 1; i < 40; ++i)
         EXPECT_EQ(dep.outputs()[static_cast<std::size_t>(i)]->value,
                   i - 1);
+    // Iteration yields the same Output pointers, in input order.
+    std::size_t position = 0;
+    for (const Output *output : dep.outputs())
+        EXPECT_EQ(output, dep.outputs()[position++]);
+    EXPECT_EQ(position, 40u);
     EXPECT_GT(dep.stats().validations, 0);
     EXPECT_EQ(dep.stats().aborts, 0);
 }
